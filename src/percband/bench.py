@@ -31,7 +31,6 @@ from .learner import (
     make_schedule,
 )
 from .oracles import LabelingOracle, NoiseModel
-from .passive import LabeledExampleSource, passive_perceptron
 
 CSV_HEADER = (
     "trial,seed,mode,d,noise_kind,noise_param,epsilon,delta,scale_m,scale_b,"
@@ -57,17 +56,21 @@ class ExperimentConfig:
     output_path: str | None = None
     jobs: int = 1
     measure_time: bool = False
-    sample_method: str = "auto"
+    samples: int = 1_000_000  # Monte Carlo samples per verify check
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.d < geometry.MIN_DIMENSION:
+            raise ValueError(f"d must be >= {geometry.MIN_DIMENSION}, got {self.d}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -150,18 +153,11 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     start = time.perf_counter()
     extra_labels = 0
     extra_draws = 0
-    if config.mode == "active":
+    if config.mode in ("active", "passive"):
         v0 = _acute_start(target, rng_plant)
         report = active_perceptron(
             oracle, v0, config.epsilon, config.delta, schedule, rng_sampler,
-            target=target, sample_method=config.sample_method,
-        )
-    elif config.mode == "passive":
-        v0 = _acute_start(target, rng_plant)
-        source = LabeledExampleSource(oracle)
-        report = passive_perceptron(
-            source, v0, config.epsilon, config.delta, schedule, rng_sampler,
-            target=target, sample_method=config.sample_method,
+            target=target, charge_rejected=config.mode == "passive",
         )
     elif config.mode == "init":
         init = acute_initialize(
@@ -172,7 +168,6 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
                 delta=config.delta,
                 scale_m=config.scale_m,
                 scale_b=config.scale_b,
-                sample_method=config.sample_method,
             ),
             rng_sampler,
         )
@@ -180,7 +175,7 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
         extra_draws = init.total_unlabeled
         report = active_perceptron(
             oracle, init.vector, config.epsilon, config.delta, schedule, rng_sampler,
-            target=target, sample_method=config.sample_method,
+            target=target,
         )
     else:
         raise ValueError(f"run_trial cannot execute mode {config.mode!r}")
@@ -228,7 +223,7 @@ def run_single(config: ExperimentConfig):
     writes the CSV when an output path is configured.
     """
     if config.mode == "verify":
-        results = verify.run_suite(config.master_seed)
+        results = verify.run_suite(config.master_seed, n_samples=config.samples)
         if config.output_path:
             write_verify_csv(config.output_path, results)
         return results

@@ -9,7 +9,8 @@ Subcommands:
 
 Options can also come from a JSON configuration file with the same field
 names (``--config``); explicit flags override file values. Exit status is 0
-iff everything executed passed its gate (for verify: every check).
+iff everything executed passed its gate (for verify: every check); a bad
+flag or config-file value is a usage error with exit status 2.
 """
 
 from __future__ import annotations
@@ -18,34 +19,32 @@ import argparse
 import json
 import sys
 
-from .bench import (
-    ExperimentConfig,
-    SWEEP_AXES,
-    run_single,
-    run_sweep,
-    write_verify_csv,
-)
+from .bench import ExperimentConfig, SWEEP_AXES, config_for_value, run_single, run_sweep
 from .oracles import NoiseModel
-from .verify import all_passed, run_suite
+from .verify import all_passed
 
-_DEFAULTS = {
-    "mode": "active",
-    "d": 10,
-    "noise": "realizable",
-    "eta": None,
-    "nu": None,
-    "epsilon": 0.05,
-    "delta": 0.1,
-    "trials": 20,
-    "seed": 0,
-    "scale_m": None,
-    "scale_b": None,
-    "out": None,
-    "jobs": 1,
-    "sweep": None,
-    "timing": False,
-    "samples": 1_000_000,
+# Every setting: its built-in default and the type a config-file value must
+# have (null is accepted where the default is None; an integer where a float
+# is expected).
+_FIELDS = {
+    "mode": ("active", str),
+    "d": (10, int),
+    "noise": ("realizable", str),
+    "eta": (None, float),
+    "nu": (None, float),
+    "epsilon": (0.05, float),
+    "delta": (0.1, float),
+    "trials": (20, int),
+    "seed": (0, int),
+    "scale_m": (None, float),
+    "scale_b": (None, float),
+    "out": (None, str),
+    "jobs": (1, int),
+    "sweep": (None, str),
+    "timing": (False, bool),
+    "samples": (1_000_000, int),
 }
+_DEFAULTS = {name: default for name, (default, _) in _FIELDS.items()}
 
 
 def parse_noise(spec: str) -> NoiseModel:
@@ -86,7 +85,7 @@ def parse_sweep(spec: str) -> tuple[str, list[float]]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--d", type=int, help="ambient dimension (>= 3)")
-    p.add_argument("--noise", help="realizable | bounded:ETA | bounded_margin:ETA:M | adversarial:NU")
+    p.add_argument("--noise", type=parse_noise, help="realizable | bounded:ETA | bounded_margin:ETA:M | adversarial:NU")
     p.add_argument("--eta", type=float, help="shortcut: bounded noise level")
     p.add_argument("--nu", type=float, help="shortcut: adversarial noise level")
     p.add_argument("--epsilon", type=float, help="target error")
@@ -128,16 +127,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_settings(args: argparse.Namespace) -> dict:
-    """Built-in defaults, overlaid by the config file, overlaid by flags."""
+    """Built-in defaults, overlaid by the config file, overlaid by flags.
+
+    Raises ValueError for a config file with unknown or mistyped fields.
+    """
     settings = dict(_DEFAULTS)
     path = getattr(args, "config", None)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         unknown = set(file_values) - set(settings)
         if unknown:
-            raise SystemExit(f"unknown config file fields: {sorted(unknown)}")
-        settings.update(file_values)
+            raise ValueError(f"unknown config file fields: {sorted(unknown)}")
+        settings.update({k: _typed(k, v) for k, v in file_values.items()})
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -145,8 +149,22 @@ def merge_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _typed(name: str, value):
+    """A config-file value checked against the type of its setting."""
+    default, kind = _FIELDS[name]
+    if value is None and default is None:
+        return None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ValueError(f"config file field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _build_config(settings: dict, mode: str) -> ExperimentConfig:
-    noise = parse_noise(settings["noise"]) if isinstance(settings["noise"], str) else settings["noise"]
+    noise = settings["noise"]
+    if isinstance(noise, str):
+        noise = parse_noise(noise)
     if settings.get("eta") is not None:
         if noise.kind == "bounded_margin":
             noise = NoiseModel.bounded_margin(settings["eta"], noise.margin)
@@ -165,6 +183,7 @@ def _build_config(settings: dict, mode: str) -> ExperimentConfig:
         output_path=settings["out"],
         jobs=settings["jobs"],
         measure_time=bool(settings["timing"]),
+        samples=settings["samples"],
     )
     if settings.get("scale_m") is not None:
         kwargs["scale_m"] = settings["scale_m"]
@@ -173,47 +192,49 @@ def _build_config(settings: dict, mode: str) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    settings = merge_settings(args)
-
+def _mode(args: argparse.Namespace, settings: dict) -> str:
     if args.command == "verify":
-        results = run_suite(settings["seed"], n_samples=settings["samples"])
-        for r in results:
-            print(r.line())
-        if settings["out"]:
-            write_verify_csv(settings["out"], results)
-        ok = all_passed(results)
-        print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
-        return 0 if ok else 1
-
+        return "verify"
+    if args.command == "init-run":
+        return "init"
     if args.command == "run":
-        mode = getattr(args, "mode", None) or (
+        return getattr(args, "mode", None) or (
             settings["mode"] if settings["mode"] in ("active", "passive") else "active"
         )
-        config = _build_config(settings, mode)
-        rows = run_single(config)
-        _print_rows_summary(rows)
-        return 0
+    return settings["mode"] if settings["mode"] != "verify" else "active"
 
-    if args.command == "init-run":
-        config = _build_config(settings, "init")
-        rows = run_single(config)
-        _print_rows_summary(rows)
-        return 0
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        settings = merge_settings(args)
+        config = _build_config(settings, _mode(args, settings))
+        if args.command == "sweep":
+            raw = getattr(args, "sweep", None) or settings["sweep"]
+            if not raw:
+                raise ValueError("sweep requires --sweep axis=v1,v2,...")
+            axis, values = parse_sweep(raw)
+            for value in values:
+                config_for_value(config, axis, value)
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(str(exc))
+
+    if args.command == "verify":
+        results = run_single(config)
+        for r in results:
+            print(r.line())
+        print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
+        return 0 if all_passed(results) else 1
 
     if args.command == "sweep":
-        raw = getattr(args, "sweep", None) or settings.get("sweep")
-        if not raw:
-            raise SystemExit("sweep requires --sweep axis=v1,v2,...")
-        axis, values = parse_sweep(raw) if isinstance(raw, str) else raw
-        config = _build_config(settings, settings["mode"] if settings["mode"] != "verify" else "active")
         _, summaries = run_sweep(config, axis, values)
         for s in summaries:
             print(s.line())
         return 0
 
-    raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
+    _print_rows_summary(run_single(config))
+    return 0
 
 
 def _print_rows_summary(rows) -> None:

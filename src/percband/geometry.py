@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 MIN_DIMENSION = 3
 UNIT_NORM_ATOL = 1e-9
@@ -155,6 +154,8 @@ def band_mass(d: int, lower: float, upper: float) -> float:
         raise DimensionMismatch(f"dimension must be >= {MIN_DIMENSION}, got {d}")
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError(f"invalid interval [{lower}, {upper}]")
+    from scipy import integrate  # deferred: scipy costs most of a cold import
+
     value, _ = integrate.quad(
         lambda z: marginal_density(d, z),
         lower,
@@ -181,7 +182,9 @@ def sample_band_margin(
     """
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError(f"invalid interval [{lower}, {upper}]")
-    count = 1 if n is None else int(n)
+    if n is None:
+        return _band_margin(d, lower, upper, rng)
+    count = int(n)
     expo = (d - 3) / 2.0
     ceiling = (1.0 - lower * lower) ** expo
     out = np.empty(count)
@@ -193,15 +196,26 @@ def sample_band_margin(
         kept = cand[accept]
         out[filled : filled + kept.size] = kept
         filled += kept.size
-    return float(out[0]) if n is None else out
+    return out
+
+
+def _band_margin(d: int, lower: float, upper: float, rng: np.random.Generator) -> float:
+    """One margin from the band-restricted marginal, drawing the same two
+    doubles per round as a one-element ``sample_band_margin`` batch."""
+    expo = (d - 3) / 2.0
+    ceiling = (1.0 - lower * lower) ** expo
+    while True:
+        z = lower + (upper - lower) * rng.random()
+        if rng.random() * ceiling <= (1.0 - z * z) ** expo:
+            return z
 
 
 def _orthogonal_unit(normal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit vector in the hyperplane orthogonal to ``normal``."""
     while True:
         g = rng.standard_normal(normal.shape[0])
-        g -= np.dot(g, normal) * normal
-        norm = np.linalg.norm(g)
+        g -= g.dot(normal) * normal
+        norm = math.sqrt(g.dot(g))
         if norm > 1e-12:
             return g / norm
 
@@ -240,26 +254,40 @@ def rejection_sample_band(
         mass = band_mass(band.dimension, band.lower, band.upper)
     if mass <= 0.0:
         raise ValueError("band has zero mass")
-    if method == "auto":
-        method = "geometric" if 1.0 / mass > GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS else "literal"
-    if method == "geometric":
-        return _sample_band_geometric(band, mass, rng, draw_budget)
-    if method == "literal":
-        return _sample_band_literal(band, mass, rng, draw_budget)
-    raise ValueError(f"unknown sampling method {method!r}")
+    samplers = {"auto": band_sampler(mass), "geometric": _sample_band_geometric,
+                "literal": _sample_band_literal}
+    if method not in samplers:
+        raise ValueError(f"unknown sampling method {method!r}")
+    return samplers[method](band.normal, band.lower, band.upper, mass, rng, draw_budget)
+
+
+def band_sampler(mass: float):
+    """The sampler ``method="auto"`` uses for a band of this mass.
+
+    Both samplers take (normal, lower, upper, mass, rng, draw_budget), trust
+    their arguments, and return (point, draws_used).
+    """
+    if 1.0 / mass > GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS:
+        return _sample_band_geometric
+    return _sample_band_literal
 
 
 def _sample_band_literal(
-    band: Band, mass: float, rng: np.random.Generator, draw_budget: int
+    normal: np.ndarray,
+    lower: float,
+    upper: float,
+    mass: float,
+    rng: np.random.Generator,
+    draw_budget: int,
 ) -> tuple[np.ndarray, int]:
-    d = band.dimension
+    d = normal.shape[0]
     chunk = int(min(max(16, math.ceil(4.0 / mass)), _MAX_CHUNK))
     used = 0
     while used < draw_budget:
         take = min(chunk, draw_budget - used)
         pts = sample_uniform_sphere(d, rng, n=take)
-        dots = pts @ band.normal
-        hits = np.flatnonzero((dots >= band.lower) & (dots <= band.upper))
+        dots = pts @ normal
+        hits = np.flatnonzero((dots >= lower) & (dots <= upper))
         if hits.size:
             first = int(hits[0])
             return pts[first], used + first + 1
@@ -270,17 +298,22 @@ def _sample_band_literal(
 
 
 def _sample_band_geometric(
-    band: Band, mass: float, rng: np.random.Generator, draw_budget: int
+    normal: np.ndarray,
+    lower: float,
+    upper: float,
+    mass: float,
+    rng: np.random.Generator,
+    draw_budget: int,
 ) -> tuple[np.ndarray, int]:
     draws = int(rng.geometric(mass))
     if draws > draw_budget:
         raise DrawBudgetExceeded(
             f"no point accepted within {draw_budget} draws", draws_used=draw_budget
         )
-    xi = sample_band_margin(band.dimension, band.lower, band.upper, rng)
-    perp = _orthogonal_unit(band.normal, rng)
-    point = xi * band.normal + math.sqrt(max(0.0, 1.0 - xi * xi)) * perp
-    return point / np.linalg.norm(point), draws
+    xi = _band_margin(normal.shape[0], lower, upper, rng)
+    perp = _orthogonal_unit(normal, rng)
+    point = xi * normal + math.sqrt(max(0.0, 1.0 - xi * xi)) * perp
+    return point / math.sqrt(point.dot(point)), draws
 
 
 @dataclass(frozen=True)

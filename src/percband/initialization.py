@@ -42,7 +42,6 @@ class InitConfig:
     test_samples: int | None = None
     scale_m: float = DEFAULT_SCALE_M
     scale_b: float = DEFAULT_SCALE_B
-    sample_method: str = "auto"
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -99,14 +98,8 @@ def acute_initialize(
     e1 = np.zeros(d)
     e1[0] = 1.0
 
-    run_pos = active_perceptron(
-        oracle, e1, eps_branch, delta_branch, schedule, rng,
-        sample_method=config.sample_method,
-    )
-    run_neg = active_perceptron(
-        oracle, -e1, eps_branch, delta_branch, schedule, rng,
-        sample_method=config.sample_method,
-    )
+    run_pos = active_perceptron(oracle, e1, eps_branch, delta_branch, schedule, rng)
+    run_neg = active_perceptron(oracle, -e1, eps_branch, delta_branch, schedule, rng)
     v_pos, v_neg = run_pos.final, run_neg.final
     labels = run_pos.total_labels + run_neg.total_labels
     draws = run_pos.total_unlabeled + run_neg.total_unlabeled

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import Band
 from .oracles import LabelingOracle, NoiseModel
 
 THEORY_SCALE_M = (3200.0 * math.pi) ** 3
@@ -53,11 +52,16 @@ def modified_perceptron_step(w, x, y: int) -> np.ndarray:
     geometry.check_same_dimension(wv, xv)
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    margin = float(np.dot(wv, xv))
+    return _reflect(wv, xv, y)
+
+
+def _reflect(w: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
+    """``modified_perceptron_step`` for trusted unit vectors and labels."""
+    margin = float(w.dot(x))
     if y * margin >= 0.0:
-        return wv
-    updated = wv - 2.0 * margin * xv
-    return updated / np.linalg.norm(updated)
+        return w
+    updated = w - 2.0 * margin * x
+    return updated / math.sqrt(updated.dot(updated))
 
 
 def mod_perceptron_params(
@@ -205,40 +209,46 @@ def mod_perceptron(
     b: float,
     rng: np.random.Generator,
     draw_budget: int | None = None,
-    sample_method: str = "auto",
+    charge_rejected: bool = False,
 ) -> tuple[np.ndarray, int, int]:
     """Run m band-query update iterations from w0; returns (w, labels, draws).
 
-    Each iteration rebuilds the band [b/2, b] around the current iterate,
-    rejection-samples one point from it, queries its label, and applies the
-    reflection update. Exactly one label is spent per iteration.
+    Each iteration samples one point from the band [b/2, b] around the
+    current iterate, queries its label, and applies the reflection update.
+    The active learner spends exactly one label per iteration; with
+    ``charge_rejected`` (the passive learner, which draws labeled pairs) each
+    draw rejected by the band costs a label too, so labels equal draws.
+
+    The inputs are checked and the band mass computed once, here; the loop
+    runs on the unchecked cores of the public sampler, oracle and update.
     """
     w = geometry.check_unit(w0, "w0")
     if m < 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
     if not (0.0 < b <= 1.0):
         raise ValueError(f"band width must lie in (0, 1], got {b}")
+    geometry.check_same_dimension(w, oracle.target)
     if m == 0:
         return w, 0, 0
-    p = geometry.band_mass(oracle.dimension, b / 2.0, b)
+    lower = b / 2.0
+    p = geometry.band_mass(oracle.dimension, lower, b)
     if draw_budget is None:
         draw_budget = default_draw_budget(m, p)
+    sample = geometry.band_sampler(p)
+    label = oracle._query
     remaining = draw_budget
-    draws = 0
     for _ in range(m):
         if remaining < 1:
             raise geometry.DrawBudgetExceeded(
                 f"epoch draw budget {draw_budget} exhausted", draws_used=draw_budget
             )
-        band = Band(normal=w, lower=b / 2.0, upper=b)
-        x, used = geometry.rejection_sample_band(
-            band, rng, remaining, method=sample_method, mass=p
-        )
+        x, used = sample(w, lower, b, p, rng, remaining)
         remaining -= used
-        draws += used
-        y = oracle.query(x)
-        w = modified_perceptron_step(w, x, y)
-    return w, m, draws
+        if charge_rejected:
+            oracle.charge_queries(used - 1)
+        w = _reflect(w, x, label(x))
+    draws = draw_budget - remaining
+    return w, draws if charge_rejected else m, draws
 
 
 def active_perceptron(
@@ -249,14 +259,15 @@ def active_perceptron(
     schedule: Schedule,
     rng: np.random.Generator,
     target=None,
-    sample_method: str = "auto",
+    charge_rejected: bool = False,
 ) -> RunReport:
     """Full epoch loop: run the halving stage once per schedule entry.
 
     The acute-start assumption (angle(v0, target) <= pi/2) is the caller's
     responsibility; see the initialization module for removing it. When
     ``target`` is given, per-epoch angles are recorded and ``succeeded``
-    reflects angle(final, target) <= pi * epsilon.
+    reflects angle(final, target) <= pi * epsilon. ``charge_rejected``
+    selects the passive accounting of :func:`mod_perceptron`.
     """
     start = time.perf_counter()
     v = geometry.check_unit(v0, "v0")
@@ -267,20 +278,12 @@ def active_perceptron(
         raise ValueError("epsilon and delta must lie in (0, 1)")
 
     traces: list[EpochTrace] = []
-    total_labels = 0
-    total_draws = 0
     for k in range(1, schedule.epochs + 1):
         theta_before = angle_or_nan(v, target)
         v, labels, draws = mod_perceptron(
-            oracle,
-            v,
-            schedule.m[k - 1],
-            schedule.b[k - 1],
-            rng,
-            sample_method=sample_method,
+            oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng,
+            charge_rejected=charge_rejected,
         )
-        total_labels += labels
-        total_draws += draws
         traces.append(
             EpochTrace(
                 epoch=k,
@@ -295,8 +298,8 @@ def active_perceptron(
         succeeded = bool(geometry.angle(v, target) <= math.pi * epsilon)
     return RunReport(
         final=v,
-        total_labels=total_labels,
-        total_unlabeled=total_draws,
+        total_labels=sum(t.labels for t in traces),
+        total_unlabeled=sum(t.unlabeled_draws for t in traces),
         traces=traces,
         succeeded=succeeded,
         wall_time=time.perf_counter() - start,

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import geometry
 
@@ -88,6 +87,8 @@ def adversarial_threshold(d: int, nu: float) -> float:
         return 0.0
     if nu == 1.0:
         return 1.0
+    from scipy import optimize  # deferred: scipy costs most of a cold import
+
     return float(
         optimize.brentq(
             lambda t: (2.0 * geometry.band_mass(d, 0.0, t) if t > 0.0 else 0.0) - nu,
@@ -106,9 +107,9 @@ def labels_from_dots(
 ) -> np.ndarray:
     """Vectorized label law: labels for points whose margins u . x are ``dots``.
 
-    This is the single implementation of the conditional label distribution;
-    the oracle's per-query path delegates here. ``tau`` is required for the
-    adversarial model (see :func:`adversarial_threshold`).
+    ``LabelingOracle`` labels single points with the same law and the same
+    generator draws. ``tau`` is required for the adversarial model (see
+    :func:`adversarial_threshold`).
     """
     dots = np.asarray(dots, dtype=np.float64)
     clean = np.where(dots >= 0.0, 1, -1).astype(np.int8)
@@ -163,9 +164,24 @@ class LabelingOracle:
         """Return a label in {-1, +1} for ``x``; increments the counter by 1."""
         xv = geometry.check_unit(x, "query point")
         geometry.check_same_dimension(xv, self.target)
+        return self._query(xv)
+
+    def _query(self, x: np.ndarray) -> int:
+        """``query`` for a trusted unit point: the label law of
+        :func:`labels_from_dots`, one scalar draw where it draws one."""
         self._queries += 1
-        dot = float(np.dot(self.target, xv))
-        return int(labels_from_dots(self.model, np.asarray([dot]), self.rng, self._tau)[0])
+        dot = float(self.target.dot(x))
+        clean = 1 if dot >= 0.0 else -1
+        model = self.model
+        if model.kind == "realizable":
+            return clean
+        if model.kind == "bounded":
+            flip = self.rng.random() < model.eta
+        elif model.kind == "bounded_margin":
+            flip = self.rng.random() < model.eta and abs(dot) <= model.margin
+        else:
+            flip = model.nu > 0.0 and abs(dot) <= self._tau
+        return -clean if flip else clean
 
     def query_batch(self, points: np.ndarray) -> np.ndarray:
         """Labels for an (n, d) array of unit points; increments the counter by n."""

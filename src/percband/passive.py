@@ -5,26 +5,17 @@ data distribution and discards pairs whose instance falls outside the current
 band. Every drawn pair costs one label, so the passive labeled-example count
 follows exactly the law of the active learner's unlabeled-draw count (the
 band acceptance events are the same), while the accepted pairs have the same
-conditional distribution as in the active mode.
+conditional distribution as in the active mode. The loop is the active
+learner's own (``mod_perceptron`` with ``charge_rejected``).
 """
 
 from __future__ import annotations
-
-import math
-import time
 
 import numpy as np
 
 from . import geometry
 from .geometry import Band
-from .learner import (
-    EpochTrace,
-    RunReport,
-    Schedule,
-    angle_or_nan,
-    default_draw_budget,
-    modified_perceptron_step,
-)
+from .learner import RunReport, Schedule, active_perceptron, mod_perceptron
 from .oracles import LabelingOracle
 
 
@@ -49,7 +40,6 @@ class LabeledExampleSource:
         band: Band,
         rng: np.random.Generator,
         draw_budget: int,
-        sample_method: str = "auto",
         mass: float | None = None,
     ) -> tuple[np.ndarray, int, int]:
         """Draw labeled pairs until one lands in the band.
@@ -57,9 +47,7 @@ class LabeledExampleSource:
         Returns (x, y, pairs_drawn) where pairs_drawn includes the accepted
         pair and every rejected one.
         """
-        x, pairs = geometry.rejection_sample_band(
-            band, rng, draw_budget, method=sample_method, mass=mass
-        )
+        x, pairs = geometry.rejection_sample_band(band, rng, draw_budget, mass=mass)
         self.oracle.charge_queries(pairs - 1)
         y = self.oracle.query(x)
         return x, y, pairs
@@ -72,31 +60,11 @@ def passive_mod_perceptron(
     b: float,
     rng: np.random.Generator,
     draw_budget: int | None = None,
-    sample_method: str = "auto",
 ) -> tuple[np.ndarray, int]:
     """One halving stage on drawn pairs; returns (w, labeled pairs drawn)."""
-    w = geometry.check_unit(w0, "w0")
-    if m < 0:
-        raise ValueError(f"iteration count must be >= 0, got {m}")
-    if not (0.0 < b <= 1.0):
-        raise ValueError(f"band width must lie in (0, 1], got {b}")
-    if m == 0:
-        return w, 0
-    p = geometry.band_mass(source.dimension, b / 2.0, b)
-    if draw_budget is None:
-        draw_budget = default_draw_budget(m, p)
-    remaining = draw_budget
-    drawn = 0
-    for _ in range(m):
-        if remaining < 1:
-            raise geometry.DrawBudgetExceeded(
-                f"epoch draw budget {draw_budget} exhausted", draws_used=draw_budget
-            )
-        band = Band(normal=w, lower=b / 2.0, upper=b)
-        x, y, pairs = source.draw_in_band(band, rng, remaining, sample_method, mass=p)
-        remaining -= pairs
-        drawn += pairs
-        w = modified_perceptron_step(w, x, y)
+    w, drawn, _ = mod_perceptron(
+        source.oracle, w0, m, b, rng, draw_budget, charge_rejected=True
+    )
     return w, drawn
 
 
@@ -108,7 +76,6 @@ def passive_perceptron(
     schedule: Schedule,
     rng: np.random.Generator,
     target=None,
-    sample_method: str = "auto",
 ) -> RunReport:
     """Epoch loop over passive halving stages.
 
@@ -116,44 +83,7 @@ def passive_perceptron(
     number of labeled pairs drawn: every draw consumes one label and one
     instance from the distribution.
     """
-    start = time.perf_counter()
-    v = geometry.check_unit(v0, "v0")
-    if target is not None:
-        target = geometry.check_unit(target, "target")
-        geometry.check_same_dimension(v, target)
-    if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
-        raise ValueError("epsilon and delta must lie in (0, 1)")
-
-    traces: list[EpochTrace] = []
-    total = 0
-    for k in range(1, schedule.epochs + 1):
-        theta_before = angle_or_nan(v, target)
-        v, drawn = passive_mod_perceptron(
-            source,
-            v,
-            schedule.m[k - 1],
-            schedule.b[k - 1],
-            rng,
-            sample_method=sample_method,
-        )
-        total += drawn
-        traces.append(
-            EpochTrace(
-                epoch=k,
-                theta_before=theta_before,
-                theta_after=angle_or_nan(v, target),
-                labels=drawn,
-                unlabeled_draws=drawn,
-            )
-        )
-    succeeded = None
-    if target is not None:
-        succeeded = bool(geometry.angle(v, target) <= math.pi * epsilon)
-    return RunReport(
-        final=v,
-        total_labels=total,
-        total_unlabeled=total,
-        traces=traces,
-        succeeded=succeeded,
-        wall_time=time.perf_counter() - start,
+    return active_perceptron(
+        source.oracle, v0, epsilon, delta, schedule, rng, target=target,
+        charge_rejected=True,
     )

@@ -13,7 +13,7 @@ from percband.bench import (
 )
 from percband.cli import main, parse_noise, parse_sweep
 from percband.oracles import NoiseModel
-from percband.verify import CheckResult
+from percband.verify import CheckResult, run_suite
 
 
 def small_config(**kw):
@@ -68,6 +68,10 @@ class TestRunSingle:
         lines = out.read_text().splitlines()
         assert lines[0] == "check,passed,statistic,bound,margin,detail"
         assert len(lines) == len(results) + 1
+
+    def test_verify_mode_honours_sample_count(self):
+        cfg = ExperimentConfig(mode="verify", master_seed=4, samples=20_000)
+        assert run_single(cfg) == run_suite(4, n_samples=20_000)
 
     def test_init_mode_accounts_for_preamble(self):
         rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))
@@ -154,6 +158,38 @@ class TestCli:
         cfg_file.write_text(json.dumps({"dimension": 5}))
         with pytest.raises(SystemExit):
             main(["run", "--config", str(cfg_file)])
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--noise", "bogus"], None),
+        (["--noise", "bounded:0.7"], None),
+        (["--trials", "0"], None),
+        ([], {"noise": "bogus"}),
+        ([], {"d": "10"}),
+        ([], {"trials": 2.5}),
+        ([], {"timing": 1}),
+    ])
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg_file = tmp_path / "bad.json"
+            cfg_file.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--d", "5", "--trials", "1"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_bad_sweep_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--d", "5", "--trials", "1", "--sweep", "d=2.5"])
+        assert exc.value.code == 2
+        assert "invalid dimension" in capsys.readouterr().err
+
+    def test_config_file_float_field_takes_an_integer(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"d": 5, "epsilon": 0.5, "trials": 1, "scale_m": 4}))
+        assert main(["run", "--config", str(cfg_file)]) == 0
 
     def test_verify_command_exit_code(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
