@@ -24,6 +24,7 @@ from .learner import (
     DEFAULT_SCALE_M,
     THEORY_SCALE_B,
     THEORY_SCALE_M,
+    BudgetExhausted,
     EpochTrace,
     RunReport,
     Schedule,
@@ -39,6 +40,7 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "Band",
+    "BudgetExhausted",
     "CheckResult",
     "DEFAULT_SCALE_B",
     "DEFAULT_SCALE_M",

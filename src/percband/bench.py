@@ -22,12 +22,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry, verify
-from .initialization import InitConfig, acute_initialize
+from .initialization import InitConfig, acute_initialize, branch_schedule
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
+    BudgetExhausted,
     RunReport,
+    Schedule,
     active_perceptron,
+    expected_draws,
     make_schedule,
 )
 from .oracles import LabelingOracle, NoiseModel
@@ -93,7 +96,7 @@ class TrialRow:
     succeeded: bool
     wall_time_s: float
     value_index: int = 0
-    report: RunReport | None = field(default=None, compare=False)
+    report: RunReport | None = field(default=None, compare=False)  # None if the budget ran out
 
     def csv_line(self) -> str:
         return ",".join(
@@ -132,8 +135,34 @@ def _acute_start(target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return v0 if float(v0 @ target) >= 0.0 else -v0
 
 
+def _init_config(config: ExperimentConfig) -> InitConfig:
+    return InitConfig(
+        model=config.noise, delta=config.delta, scale_m=config.scale_m, scale_b=config.scale_b
+    )
+
+
+def _schedule(config: ExperimentConfig) -> Schedule:
+    return make_schedule(
+        config.d, config.epsilon, config.delta, config.noise,
+        scale_m=config.scale_m, scale_b=config.scale_b,
+    )
+
+
+def expected_draws_per_trial(config: ExperimentConfig) -> float:
+    """Expected unlabeled draws of one trial (sum of m_k / p_k), from the
+    schedules alone; init mode adds its two branch runs."""
+    draws = expected_draws(_schedule(config), config.d)
+    if config.mode == "init":
+        draws += 2.0 * expected_draws(branch_schedule(config.d, _init_config(config)), config.d)
+    return draws
+
+
 def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> TrialRow:
-    """Execute one fully isolated trial and build its row."""
+    """Execute one fully isolated trial and build its row.
+
+    A trial that exhausts an epoch's draw budget is a failed row: it reports
+    the labels and draws spent and the angle of the last iterate.
+    """
     seed = trial_seed(config.master_seed, value_index, trial_index)
     plant_ss, oracle_ss, sampler_ss = np.random.SeedSequence(seed).spawn(3)
     rng_plant = np.random.default_rng(plant_ss)
@@ -141,44 +170,36 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
 
     target = geometry.sample_uniform_sphere(config.d, rng_plant)
     oracle = LabelingOracle(target, config.noise, np.random.default_rng(oracle_ss))
-    schedule = make_schedule(
-        config.d,
-        config.epsilon,
-        config.delta,
-        config.noise,
-        scale_m=config.scale_m,
-        scale_b=config.scale_b,
-    )
+    schedule = _schedule(config)
 
     start = time.perf_counter()
     extra_labels = 0
     extra_draws = 0
-    if config.mode in ("active", "passive"):
-        v0 = _acute_start(target, rng_plant)
-        report = active_perceptron(
-            oracle, v0, config.epsilon, config.delta, schedule, rng_sampler,
-            target=target, charge_rejected=config.mode == "passive",
-        )
-    elif config.mode == "init":
-        init = acute_initialize(
-            oracle,
-            config.d,
-            InitConfig(
-                model=config.noise,
-                delta=config.delta,
-                scale_m=config.scale_m,
-                scale_b=config.scale_b,
-            ),
-            rng_sampler,
-        )
-        extra_labels = init.total_labels
-        extra_draws = init.total_unlabeled
-        report = active_perceptron(
-            oracle, init.vector, config.epsilon, config.delta, schedule, rng_sampler,
-            target=target,
-        )
+    try:
+        if config.mode in ("active", "passive"):
+            v0 = _acute_start(target, rng_plant)
+            report = active_perceptron(
+                oracle, v0, config.epsilon, config.delta, schedule, rng_sampler,
+                target=target, charge_rejected=config.mode == "passive",
+            )
+        elif config.mode == "init":
+            init = acute_initialize(oracle, config.d, _init_config(config), rng_sampler)
+            extra_labels = init.total_labels
+            extra_draws = init.total_unlabeled
+            report = active_perceptron(
+                oracle, init.vector, config.epsilon, config.delta, schedule, rng_sampler,
+                target=target,
+            )
+        else:
+            raise ValueError(f"run_trial cannot execute mode {config.mode!r}")
+    except BudgetExhausted as exc:
+        exc.charge(extra_labels, extra_draws)
+        report = None
+        labels, draws, final, succeeded = exc.labels_used, exc.draws_used, exc.iterate, False
     else:
-        raise ValueError(f"run_trial cannot execute mode {config.mode!r}")
+        labels = report.total_labels + extra_labels
+        draws = report.total_unlabeled + extra_draws
+        final, succeeded = report.final, bool(report.succeeded)
     elapsed = time.perf_counter() - start
 
     return TrialRow(
@@ -192,10 +213,10 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
         delta=config.delta,
         scale_m=config.scale_m,
         scale_b=config.scale_b,
-        labels=report.total_labels + extra_labels,
-        unlabeled_draws=report.total_unlabeled + extra_draws,
-        final_angle=geometry.angle(report.final, target),
-        succeeded=bool(report.succeeded),
+        labels=labels,
+        unlabeled_draws=draws,
+        final_angle=geometry.angle(final, target),
+        succeeded=succeeded,
         wall_time_s=elapsed if config.measure_time else 0.0,
         value_index=value_index,
         report=report,

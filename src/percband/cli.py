@@ -10,7 +10,9 @@ Subcommands:
 Options can also come from a JSON configuration file with the same field
 names (``--config``); explicit flags override file values. Exit status is 0
 iff everything executed passed its gate (for verify: every check); a bad
-flag or config-file value is a usage error with exit status 2.
+flag or config-file value is a usage error with exit status 2, and so is a
+setting whose trials are expected to draw more than ``--max-draws``
+unlabeled points (checked from the schedule before the first trial).
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import argparse
 import json
 import sys
 
-from .bench import ExperimentConfig, SWEEP_AXES, config_for_value, run_single, run_sweep
+from .bench import (
+    SWEEP_AXES,
+    ExperimentConfig,
+    config_for_value,
+    expected_draws_per_trial,
+    run_single,
+    run_sweep,
+)
 from .oracles import NoiseModel
 from .verify import all_passed
 
@@ -43,6 +52,7 @@ _FIELDS = {
     "sweep": (None, str),
     "timing": (False, bool),
     "samples": (1_000_000, int),
+    "max_draws": (1e10, float),
 }
 _DEFAULTS = {name: default for name, (default, _) in _FIELDS.items()}
 
@@ -96,6 +106,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale-b", dest="scale_b", type=float, help="band-width scale constant")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--jobs", type=int, help="parallel trial workers")
+    p.add_argument("--max-draws", dest="max_draws", type=float,
+                   help="refuse settings whose trials expect more unlabeled draws (default 1e10)")
     p.add_argument("--timing", action="store_true", default=None,
                    help="record wall time per row (off by default: timed rows are not byte-reproducible)")
 
@@ -163,19 +175,10 @@ def _typed(name: str, value):
 
 def _build_config(settings: dict, mode: str) -> ExperimentConfig:
     noise = settings["noise"]
-    if isinstance(noise, str):
-        noise = parse_noise(noise)
-    if settings.get("eta") is not None:
-        if noise.kind == "bounded_margin":
-            noise = NoiseModel.bounded_margin(settings["eta"], noise.margin)
-        else:
-            noise = NoiseModel.bounded(settings["eta"])
-    if settings.get("nu") is not None:
-        noise = NoiseModel.adversarial(settings["nu"])
     kwargs = dict(
         mode=mode,
         d=settings["d"],
-        noise=noise,
+        noise=parse_noise(noise) if isinstance(noise, str) else noise,
         epsilon=settings["epsilon"],
         delta=settings["delta"],
         trials=settings["trials"],
@@ -189,7 +192,23 @@ def _build_config(settings: dict, mode: str) -> ExperimentConfig:
         kwargs["scale_m"] = settings["scale_m"]
     if settings.get("scale_b") is not None:
         kwargs["scale_b"] = settings["scale_b"]
-    return ExperimentConfig(**kwargs)
+    config = ExperimentConfig(**kwargs)
+    for axis in ("eta", "nu"):
+        if settings[axis] is not None:
+            config = config_for_value(config, axis, settings[axis])
+    return config
+
+
+def _check_cost(config: ExperimentConfig, max_draws: float) -> None:
+    """Refuse a configuration whose trials are expected to draw too much."""
+    if not max_draws > 0.0:
+        raise ValueError(f"--max-draws must be positive, got {max_draws!r}")
+    draws = expected_draws_per_trial(config)
+    if draws > max_draws:
+        raise ValueError(
+            f"a trial at d={config.d}, epsilon={config.epsilon:g} is expected to draw "
+            f"{draws:.3g} unlabeled points, more than --max-draws {max_draws:.3g}"
+        )
 
 
 def _mode(args: argparse.Namespace, settings: dict) -> str:
@@ -216,7 +235,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("sweep requires --sweep axis=v1,v2,...")
             axis, values = parse_sweep(raw)
             for value in values:
-                config_for_value(config, axis, value)
+                _check_cost(config_for_value(config, axis, value), settings["max_draws"])
+        elif args.command != "verify":
+            _check_cost(config, settings["max_draws"])
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,10 @@ UNIT_NORM_ATOL = 1e-9
 # equivalent geometric shortcut once a band is thin enough that literal
 # sampling would need more than this many draws per accepted point.
 GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS = 200.0
+
+# A Gaussian whose part orthogonal to the band normal has a squared norm at
+# or below this is redrawn: its direction is numerically meaningless.
+MIN_ORTHOGONAL_SQ_NORM = 1e-24
 
 _MAX_CHUNK = 1 << 16
 
@@ -215,9 +220,9 @@ def _orthogonal_unit(normal: np.ndarray, rng: np.random.Generator) -> np.ndarray
     while True:
         g = rng.standard_normal(normal.shape[0])
         g -= g.dot(normal) * normal
-        norm = math.sqrt(g.dot(g))
-        if norm > 1e-12:
-            return g / norm
+        sq_norm = g.dot(g)
+        if sq_norm > MIN_ORTHOGONAL_SQ_NORM:
+            return g / math.sqrt(sq_norm)
 
 
 def rejection_sample_band(
@@ -254,22 +259,12 @@ def rejection_sample_band(
         mass = band_mass(band.dimension, band.lower, band.upper)
     if mass <= 0.0:
         raise ValueError("band has zero mass")
-    samplers = {"auto": band_sampler(mass), "geometric": _sample_band_geometric,
-                "literal": _sample_band_literal}
+    if method == "auto":
+        method = "geometric" if 1.0 / mass > GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS else "literal"
+    samplers = {"geometric": _sample_band_geometric, "literal": _sample_band_literal}
     if method not in samplers:
         raise ValueError(f"unknown sampling method {method!r}")
     return samplers[method](band.normal, band.lower, band.upper, mass, rng, draw_budget)
-
-
-def band_sampler(mass: float):
-    """The sampler ``method="auto"`` uses for a band of this mass.
-
-    Both samplers take (normal, lower, upper, mass, rng, draw_budget), trust
-    their arguments, and return (point, draws_used).
-    """
-    if 1.0 / mass > GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS:
-        return _sample_band_geometric
-    return _sample_band_literal
 
 
 def _sample_band_literal(
@@ -314,6 +309,32 @@ def _sample_band_geometric(
     perp = _orthogonal_unit(normal, rng)
     point = xi * normal + math.sqrt(max(0.0, 1.0 - xi * xi)) * perp
     return point / math.sqrt(point.dot(point)), draws
+
+
+class BandTape(NamedTuple):
+    """The randomness of n band samples around a normal not yet fixed.
+
+    Point i is ``margins[i] * w + sqrt(1 - margins[i]^2) * v`` with v the
+    unit part of ``gauss[i]`` orthogonal to the normal w, and it costs
+    ``draws[i]`` unlabeled draws; this is the geometric sampler's law for
+    whichever unit normal w the point is built around.
+    """
+
+    draws: np.ndarray  # (n,) int: Geometric(mass) draw counts
+    margins: np.ndarray  # (n,): w . x from the band-restricted marginal
+    gauss: np.ndarray  # (n, d): standard Gaussians for the orthogonal part
+    sq_norms: np.ndarray  # (n,): gauss[i] . gauss[i]
+
+
+def draw_band_tape(
+    d: int, lower: float, upper: float, mass: float, rng: np.random.Generator, n: int
+) -> BandTape:
+    """Draw n band samples' randomness in bulk from ``rng``, in this order: the
+    draw counts, the margins, the Gaussians."""
+    draws = rng.geometric(mass, size=n)
+    margins = sample_band_margin(d, lower, upper, rng, n=n)
+    gauss = rng.standard_normal((n, d))
+    return BandTape(draws, margins, gauss, np.einsum("ij,ij->i", gauss, gauss))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from . import geometry
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
+    BudgetExhausted,
     RunReport,
+    Schedule,
     active_perceptron,
     make_schedule,
 )
@@ -68,6 +70,19 @@ def hypothesis_test_size(model: NoiseModel, delta: float) -> int:
     return math.ceil(8.0 / (zeta * zeta) * math.log(6.0 / delta))
 
 
+def _branch_targets(config: InitConfig) -> tuple[float, float]:
+    """Target error and failure budget of each branch run."""
+    return config.model.zeta / 16.0, config.delta / 3.0
+
+
+def branch_schedule(d: int, config: InitConfig) -> Schedule:
+    """The epoch schedule each of the two branch runs follows."""
+    eps_branch, delta_branch = _branch_targets(config)
+    return make_schedule(
+        d, eps_branch, delta_branch, config.model, scale_m=config.scale_m, scale_b=config.scale_b
+    )
+
+
 def acute_initialize(
     oracle: LabelingOracle,
     d: int,
@@ -78,28 +93,24 @@ def acute_initialize(
 
     The returned vector is always one of the two branch outputs. If the two
     branches land on (anti)parallel vectors the disagreement region is empty
-    up to measure zero and the positive branch is returned outright.
+    up to measure zero and the positive branch is returned outright. A
+    :class:`BudgetExhausted` carries the spend of the whole procedure.
     """
     if d != oracle.dimension:
         raise geometry.DimensionMismatch(
             f"oracle dimension {oracle.dimension} does not match d={d}"
         )
-    zeta = config.model.zeta
-    eps_branch = zeta / 16.0
-    delta_branch = config.delta / 3.0
-    schedule = make_schedule(
-        d,
-        eps_branch,
-        delta_branch,
-        config.model,
-        scale_m=config.scale_m,
-        scale_b=config.scale_b,
-    )
+    schedule = branch_schedule(d, config)
+    eps_branch, delta_branch = _branch_targets(config)
     e1 = np.zeros(d)
     e1[0] = 1.0
 
     run_pos = active_perceptron(oracle, e1, eps_branch, delta_branch, schedule, rng)
-    run_neg = active_perceptron(oracle, -e1, eps_branch, delta_branch, schedule, rng)
+    try:
+        run_neg = active_perceptron(oracle, -e1, eps_branch, delta_branch, schedule, rng)
+    except BudgetExhausted as exc:
+        exc.charge(run_pos.total_labels, run_pos.total_unlabeled)
+        raise
     v_pos, v_neg = run_pos.final, run_neg.final
     labels = run_pos.total_labels + run_neg.total_labels
     draws = run_pos.total_unlabeled + run_neg.total_unlabeled
@@ -122,7 +133,10 @@ def acute_initialize(
         if config.test_samples is not None
         else hypothesis_test_size(config.model, config.delta)
     )
-    points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
+    try:
+        points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
+    except geometry.DrawBudgetExceeded as exc:
+        raise BudgetExhausted(str(exc), draws + exc.draws_used, labels, v_pos) from exc
     draws += test_draws
     ys = oracle.query_batch(points)
     labels += n_test

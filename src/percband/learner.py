@@ -39,6 +39,10 @@ DEFAULT_SCALE_B = 0.5
 # Per-epoch unlabeled-draw allowance: 50x the high-probability bound 2m/p.
 DRAW_BUDGET_FACTOR = 100.0
 
+# An epoch draws its randomness in chunks of at most this many bytes of
+# Gaussians, which bounds its memory in any dimension.
+TAPE_BYTES = 1 << 20
+
 
 def modified_perceptron_step(w, x, y: int) -> np.ndarray:
     """One update: reflect w across x's hyperplane iff y (w . x) < 0 strictly.
@@ -202,6 +206,30 @@ def default_draw_budget(m: int, band_probability: float) -> int:
     return int(math.ceil(DRAW_BUDGET_FACTOR * m / band_probability))
 
 
+def expected_draws(schedule: Schedule, d: int) -> float:
+    """Expected unlabeled draws of one run of ``schedule``: sum of m_k / p_k."""
+    return sum(m / geometry.band_mass(d, b / 2.0, b) for m, b in zip(schedule.m, schedule.b))
+
+
+class BudgetExhausted(geometry.DrawBudgetExceeded):
+    """A run stopped because an epoch exhausted its draw budget.
+
+    ``labels_used`` and ``draws_used`` count what the run spent up to the
+    failure, the failed epoch's whole budget included: each caller the
+    exception passes through adds its completed work with :meth:`charge`.
+    ``iterate`` is the last iterate.
+    """
+
+    def __init__(self, message: str, draws_used: int, labels_used: int, iterate: np.ndarray):
+        super().__init__(message, draws_used=draws_used)
+        self.labels_used = labels_used
+        self.iterate = iterate
+
+    def charge(self, labels: int, draws: int) -> None:
+        self.labels_used += labels
+        self.draws_used += draws
+
+
 def mod_perceptron(
     oracle: LabelingOracle,
     w0,
@@ -219,8 +247,11 @@ def mod_perceptron(
     ``charge_rejected`` (the passive learner, which draws labeled pairs) each
     draw rejected by the band costs a label too, so labels equal draws.
 
-    The inputs are checked and the band mass computed once, here; the loop
-    runs on the unchecked cores of the public sampler, oracle and update.
+    The epoch is taped: its randomness is drawn in bulk, in chunks of at most
+    TAPE_BYTES of Gaussians (a :class:`geometry.BandTape` from ``rng``, then
+    the label coins from the oracle's generator), and the loop over the tape
+    is a pure function of (w0, tape). Raises :class:`BudgetExhausted` once
+    the draws exceed ``draw_budget``.
     """
     w = geometry.check_unit(w0, "w0")
     if m < 0:
@@ -230,25 +261,58 @@ def mod_perceptron(
     geometry.check_same_dimension(w, oracle.target)
     if m == 0:
         return w, 0, 0
+    d = w.shape[0]
     lower = b / 2.0
-    p = geometry.band_mass(oracle.dimension, lower, b)
+    p = geometry.band_mass(d, lower, b)
     if draw_budget is None:
         draw_budget = default_draw_budget(m, p)
-    sample = geometry.band_sampler(p)
-    label = oracle._query
-    remaining = draw_budget
-    for _ in range(m):
-        if remaining < 1:
-            raise geometry.DrawBudgetExceeded(
-                f"epoch draw budget {draw_budget} exhausted", draws_used=draw_budget
+    rows = max(1, TAPE_BYTES // (8 * d))
+    done = draws = 0
+    while done < m:
+        n = min(rows, m - done)
+        tape = geometry.draw_band_tape(d, lower, b, p, rng, n)
+        coins, radius = oracle.flip_tape(n)
+        spent = np.cumsum(tape.draws)
+        steps = int(np.searchsorted(spent, draw_budget - draws, side="right"))
+        w = _run_tape(w, oracle.target, tape, coins, radius, steps, rng)
+        done += steps
+        if steps < n:
+            labels = draw_budget if charge_rejected else done
+            oracle.charge_queries(labels)
+            raise BudgetExhausted(
+                f"epoch draw budget {draw_budget} exhausted", draw_budget, labels, w
             )
-        x, used = sample(w, lower, b, p, rng, remaining)
-        remaining -= used
-        if charge_rejected:
-            oracle.charge_queries(used - 1)
-        w = _reflect(w, x, label(x))
-    draws = draw_budget - remaining
-    return w, draws if charge_rejected else m, draws
+        draws += int(spent[-1])
+    labels = draws if charge_rejected else m
+    oracle.charge_queries(labels)
+    return w, labels, draws
+
+
+def _run_tape(w, target, tape, coins, radius, steps, rng) -> np.ndarray:
+    """The first ``steps`` iterations of a tape; returns the last iterate.
+
+    The point of a step is x = xi w + s v, with v the unit part of the tape's
+    Gaussian g orthogonal to w and s = sqrt(1 - xi^2). Since w . x = xi > 0,
+    the update fires iff the label is -1. The label needs only t . x for the
+    target t, a scalar function of g . w, g . t and t . w; so a step that
+    does not fire costs one length-d dot product, and only a firing step
+    builds x and touches w.
+    """
+    tw = float(target.dot(w))
+    gauss = tape.gauss[:steps]
+    rows = zip(tape.margins[:steps].tolist(), gauss, tape.sq_norms[:steps].tolist(),
+               (gauss @ target).tolist(), coins[:steps].tolist())
+    for xi, g, gg, tg, coin in rows:
+        gw = float(g.dot(w))
+        while gg - gw * gw <= geometry.MIN_ORTHOGONAL_SQ_NORM:
+            g = rng.standard_normal(w.shape[0])
+            gg, tg, gw = float(g.dot(g)), float(g.dot(target)), float(g.dot(w))
+        scale = math.sqrt(1.0 - xi * xi) / math.sqrt(gg - gw * gw)
+        tx = xi * tw + scale * (tg - gw * tw)
+        if (tx >= 0.0) == (coin and abs(tx) <= radius):
+            w = _reflect(w, (xi - scale * gw) * w + scale * g, -1)
+            tw = float(target.dot(w))
+    return w
 
 
 def active_perceptron(
@@ -267,7 +331,8 @@ def active_perceptron(
     responsibility; see the initialization module for removing it. When
     ``target`` is given, per-epoch angles are recorded and ``succeeded``
     reflects angle(final, target) <= pi * epsilon. ``charge_rejected``
-    selects the passive accounting of :func:`mod_perceptron`.
+    selects the passive accounting of :func:`mod_perceptron`. A
+    :class:`BudgetExhausted` raised by an epoch carries the whole run's spend.
     """
     start = time.perf_counter()
     v = geometry.check_unit(v0, "v0")
@@ -280,10 +345,14 @@ def active_perceptron(
     traces: list[EpochTrace] = []
     for k in range(1, schedule.epochs + 1):
         theta_before = angle_or_nan(v, target)
-        v, labels, draws = mod_perceptron(
-            oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng,
-            charge_rejected=charge_rejected,
-        )
+        try:
+            v, labels, draws = mod_perceptron(
+                oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng,
+                charge_rejected=charge_rejected,
+            )
+        except BudgetExhausted as exc:
+            exc.charge(sum(t.labels for t in traces), sum(t.unlabeled_draws for t in traces))
+            raise
         traces.append(
             EpochTrace(
                 epoch=k,

@@ -15,6 +15,7 @@ unit vector u, with sign(0) := +1. Three corruption regimes are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,30 @@ def adversarial_threshold(d: int, nu: float) -> float:
     )
 
 
+def _flip_coins(model: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-label corruption coins for the next n labels.
+
+    Under the bounded kinds each label gets a Bernoulli(eta) coin, one
+    uniform from ``rng`` per label (the only draws the label law makes);
+    otherwise the coin is constant and nothing is drawn. A coin flips its
+    label iff |u . x| is at most :func:`_flip_radius`.
+    """
+    if model.kind in ("bounded", "bounded_margin"):
+        return rng.random(n) < model.eta
+    return np.full(n, model.kind == "adversarial" and model.nu > 0.0)
+
+
+def _flip_radius(model: NoiseModel, tau: float | None) -> float:
+    """The largest |u . x| at which a coin from :func:`_flip_coins` flips a label."""
+    if model.kind == "bounded_margin":
+        return model.margin
+    if model.kind == "adversarial":
+        if tau is None:
+            raise ValueError("adversarial labels need the slab threshold tau")
+        return tau
+    return math.inf
+
+
 def labels_from_dots(
     model: NoiseModel,
     dots: np.ndarray,
@@ -107,24 +132,14 @@ def labels_from_dots(
 ) -> np.ndarray:
     """Vectorized label law: labels for points whose margins u . x are ``dots``.
 
-    ``LabelingOracle`` labels single points with the same law and the same
+    ``LabelingOracle`` labels points with the same law and the same
     generator draws. ``tau`` is required for the adversarial model (see
     :func:`adversarial_threshold`).
     """
     dots = np.asarray(dots, dtype=np.float64)
+    radius = _flip_radius(model, tau)
     clean = np.where(dots >= 0.0, 1, -1).astype(np.int8)
-    if model.kind == "realizable":
-        return clean
-    if model.kind == "bounded":
-        flip = rng.random(dots.shape) < model.eta
-    elif model.kind == "bounded_margin":
-        flip = (rng.random(dots.shape) < model.eta) & (np.abs(dots) <= model.margin)
-    elif model.kind == "adversarial":
-        if tau is None:
-            raise ValueError("adversarial labels need the slab threshold tau")
-        flip = np.abs(dots) <= tau if model.nu > 0.0 else np.zeros(dots.shape, dtype=bool)
-    else:  # pragma: no cover - guarded by NoiseModel validation
-        raise ValueError(f"unknown noise kind {model.kind!r}")
+    flip = _flip_coins(model, rng, dots.size).reshape(dots.shape) & (np.abs(dots) <= radius)
     return np.where(flip, -clean, clean)
 
 
@@ -164,24 +179,8 @@ class LabelingOracle:
         """Return a label in {-1, +1} for ``x``; increments the counter by 1."""
         xv = geometry.check_unit(x, "query point")
         geometry.check_same_dimension(xv, self.target)
-        return self._query(xv)
-
-    def _query(self, x: np.ndarray) -> int:
-        """``query`` for a trusted unit point: the label law of
-        :func:`labels_from_dots`, one scalar draw where it draws one."""
         self._queries += 1
-        dot = float(self.target.dot(x))
-        clean = 1 if dot >= 0.0 else -1
-        model = self.model
-        if model.kind == "realizable":
-            return clean
-        if model.kind == "bounded":
-            flip = self.rng.random() < model.eta
-        elif model.kind == "bounded_margin":
-            flip = self.rng.random() < model.eta and abs(dot) <= model.margin
-        else:
-            flip = model.nu > 0.0 and abs(dot) <= self._tau
-        return -clean if flip else clean
+        return int(labels_from_dots(self.model, self.target.dot(xv), self.rng, self._tau))
 
     def query_batch(self, points: np.ndarray) -> np.ndarray:
         """Labels for an (n, d) array of unit points; increments the counter by n."""
@@ -192,6 +191,15 @@ class LabelingOracle:
             )
         self._queries += pts.shape[0]
         return labels_from_dots(self.model, pts @ self.target, self.rng, self._tau)
+
+    def flip_tape(self, n: int) -> tuple[np.ndarray, float]:
+        """Corruption coins for the next n labels and the radius they act within.
+
+        Label i of a point x is the clean sign(u . x), flipped iff coins[i]
+        and |u . x| <= radius. Draws from the oracle's generator exactly what
+        :func:`labels_from_dots` draws for n labels; charges nothing.
+        """
+        return _flip_coins(self.model, self.rng, n), _flip_radius(self.model, self._tau)
 
     def charge_queries(self, n: int) -> None:
         """Account for ``n`` labeled examples consumed without materializing them.

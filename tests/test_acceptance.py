@@ -20,6 +20,8 @@ from percband.learner import modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel
 from percband.verify import all_passed, run_suite
 
+pytestmark = pytest.mark.acceptance
+
 
 def gate(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion:02d}] {'PASS' if ok else 'FAIL'} - {detail}")

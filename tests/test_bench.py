@@ -1,11 +1,15 @@
 import json
+import math
+import time
 
 import pytest
 
+from percband import geometry, learner
 from percband.bench import (
     CSV_HEADER,
     ExperimentConfig,
     config_for_value,
+    expected_draws_per_trial,
     run_single,
     run_sweep,
     run_trial,
@@ -77,6 +81,29 @@ class TestRunSingle:
         rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))
         for row in rows:
             assert row.labels > row.report.total_labels  # init labels included
+
+
+class TestBudgetExhaustion:
+    @pytest.mark.parametrize("mode", ["active", "passive", "init"])
+    def test_exhausted_trial_is_a_failed_row(self, monkeypatch, tmp_path, mode):
+        # A budget of half the expected draws runs out in the first epoch.
+        monkeypatch.setattr(learner, "DRAW_BUDGET_FACTOR", 0.5)
+        out = tmp_path / "sweep.csv"
+        rows, _ = run_sweep(small_config(mode=mode, trials=2, output_path=str(out)),
+                            "epsilon", [0.5, 0.25])
+        assert len(out.read_text().splitlines()) == 1 + len(rows) == 5
+        schedule = learner.make_schedule(5, 0.5, 0.1, NoiseModel.realizable())
+        m, b = schedule.m[0], schedule.b[0]
+        budget = learner.default_draw_budget(m, geometry.band_mass(5, b / 2.0, b))
+        for row in rows:
+            assert not row.succeeded and row.report is None
+            assert 0.0 <= row.final_angle <= math.pi
+            if mode == "passive":
+                assert row.labels == row.unlabeled_draws == budget
+            elif mode == "active":
+                assert row.unlabeled_draws == budget and 0 < row.labels < m
+            else:
+                assert row.unlabeled_draws > 0 and row.labels > 0
 
 
 class TestSweep:
@@ -153,6 +180,17 @@ class TestCli:
         assert all(",realizable," in r for r in rows)
         assert all(",5," in r for r in rows)
 
+    @pytest.mark.parametrize("argv, noise", [
+        (["--noise", "bounded_margin:0.1:0.5", "--eta", "0.3"], "bounded_margin,0.3,"),
+        (["--eta", "0.3"], "bounded,0.3,"),
+        (["--noise", "bounded:0.1", "--nu", "0.01"], "adversarial,0.01,"),
+    ])
+    def test_eta_and_nu_shortcuts(self, tmp_path, argv, noise):
+        out = tmp_path / "noise.csv"
+        assert main(["run", "--d", "5", "--epsilon", "0.5", "--trials", "1",
+                     "--out", str(out)] + argv) == 0
+        assert f",{noise}" in out.read_text().splitlines()[1]
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps({"dimension": 5}))
@@ -167,6 +205,7 @@ class TestCli:
         ([], {"d": "10"}),
         ([], {"trials": 2.5}),
         ([], {"timing": 1}),
+        (["--max-draws", "nan"], None),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -179,6 +218,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scale-m", repr(learner.THEORY_SCALE_M), "--scale-b", repr(learner.THEORY_SCALE_B)],
+        ["init-run", "--scale-m", "3e11"],
+        ["sweep", "--sweep", "epsilon=0.4,0.05", "--max-draws", "1e5"],
+    ])
+    def test_absurd_cost_is_refused_before_running(self, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "--max-draws" in err
+
+    def test_cost_preflight_counts_every_schedule(self):
+        active = expected_draws_per_trial(small_config())
+        assert expected_draws_per_trial(small_config(mode="passive")) == active
+        assert expected_draws_per_trial(small_config(mode="init")) > active
+        assert main(["run", "--d", "5", "--epsilon", "0.25", "--trials", "1",
+                     "--max-draws", repr(active)]) == 0
 
     def test_bad_sweep_value_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

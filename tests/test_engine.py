@@ -1,10 +1,12 @@
-"""The epoch engine against the public, validated primitives it is built on.
+"""The taped epoch engine against the public, validated primitives.
 
-``learner.mod_perceptron`` checks its inputs once per epoch and then runs
-on the unchecked cores of the band sampler, the oracle and the update. These
-tests pin that the engine consumes the random streams exactly as a loop over
-the public API does, that its validation does not scale with the epoch
-length, and that the trial CSVs stay those of the recorded stream.
+``learner.mod_perceptron`` checks its inputs once per epoch, draws the
+epoch's randomness in bulk (a ``geometry.BandTape`` from the sampler's
+generator, the label coins from the oracle's) and runs the per-label loop as
+a pure function of (w0, tape). These tests replay the same tape step by step
+through ``modified_perceptron_step`` and ``LabelingOracle.query``, compare
+the engine's law with a loop over the literal draw-and-discard sampler, and
+pin the trial CSVs of the taped stream.
 """
 
 import hashlib
@@ -14,11 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from percband import geometry, learner
 from percband.bench import ExperimentConfig, run_sweep
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
-from percband.learner import default_draw_budget, mod_perceptron, modified_perceptron_step
+from percband.learner import (
+    BudgetExhausted,
+    default_draw_budget,
+    mod_perceptron,
+    modified_perceptron_step,
+)
 from percband.oracles import LabelingOracle, NoiseModel, labels_from_dots
 
 from conftest import planted_pair
@@ -30,24 +38,40 @@ MODELS = (
     NoiseModel.bounded_margin(0.2, 0.1),
     NoiseModel.adversarial(0.05),
 )
-# At d=10 the band [b/2, b] needs 1/p ~ 54 draws per point for b=0.03 (the
-# literal sampler) and ~330 for b=0.005 (the geometric one).
+# Band widths on either side of the point where rejection_sample_band's
+# "auto" method switches samplers: at d=10 the band [b/2, b] needs 1/p ~ 54
+# draws per point for b=0.03 (literal) and ~330 for b=0.005 (geometric). The
+# engine takes the taped geometric path at both.
 WIDTHS = {"literal": 0.03, "geometric": 0.005}
+# Rows per tape chunk in the replay test, so that an 80-step epoch spans
+# three chunks.
+REPLAY_ROWS = 32
 
 
 def reference_epoch(oracle, w0, m, b, rng, charge_rejected):
-    """One epoch written with the public, validated primitives only."""
-    p = band_mass(oracle.dimension, b / 2.0, b)
-    remaining = default_draw_budget(m, p)
-    w, draws = w0, 0
-    for _ in range(m):
-        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, remaining,
-                                        mass=p)
-        remaining -= used
-        draws += used
-        if charge_rejected:
-            oracle.charge_queries(used - 1)
-        w = modified_perceptron_step(w, x, oracle.query(x))
+    """One epoch replayed from its tape through the public, validated primitives."""
+    d = oracle.dimension
+    p = band_mass(d, b / 2.0, b)
+    budget = default_draw_budget(m, p)
+    rows = max(1, learner.TAPE_BYTES // (8 * d))
+    w, draws, done = w0, 0, 0
+    while done < m:
+        tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, min(rows, m - done))
+        for used, xi, g, gg in zip(*tape):
+            draws += int(used)
+            assert draws <= budget
+            gw = float(g.dot(w))
+            while gg - gw * gw <= geometry.MIN_ORTHOGONAL_SQ_NORM:
+                g = rng.standard_normal(d)
+                gg, gw = float(g.dot(g)), float(g.dot(w))
+            scale = math.sqrt(1.0 - xi * xi) / math.sqrt(gg - gw * gw)
+            x = (xi - scale * gw) * w + scale * g
+            assert b / 2.0 - 1e-12 <= float(x.dot(w)) <= b + 1e-12
+            if charge_rejected:
+                oracle.charge_queries(int(used) - 1)
+            w = modified_perceptron_step(w, x, oracle.query(x))
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
+            done += 1
     return w, draws if charge_rejected else m, draws
 
 
@@ -57,21 +81,100 @@ def fresh(model, seed):
     return oracle, w0, np.random.default_rng(seed + 2)
 
 
-@pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
-@pytest.mark.parametrize("sampler", sorted(WIDTHS))
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
-def test_engine_matches_reference_loop(model, sampler, charge_rejected):
-    b = WIDTHS[sampler]
-    assert geometry.band_sampler(band_mass(D, b / 2.0, b)).__name__ == f"_sample_band_{sampler}"
-    ref_oracle, w0, ref_rng = fresh(model, 3)
-    oracle, _, rng = fresh(model, 3)
-    want = reference_epoch(ref_oracle, w0, 80, b, ref_rng, charge_rejected)
-    got = mod_perceptron(oracle, w0, 80, b, rng, charge_rejected=charge_rejected)
+def assert_replays(oracle, rng, ref_oracle, ref_rng, got, want):
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
     assert oracle.queries == ref_oracle.queries == got[1]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert oracle.rng.bit_generator.state == ref_oracle.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
+@pytest.mark.parametrize("sampler", sorted(WIDTHS))
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_engine_matches_reference_loop(monkeypatch, model, sampler, charge_rejected):
+    monkeypatch.setattr(learner, "TAPE_BYTES", 8 * D * REPLAY_ROWS)
+    b = WIDTHS[sampler]
+    ref_oracle, w0, ref_rng = fresh(model, 3)
+    oracle, _, rng = fresh(model, 3)
+    want = reference_epoch(ref_oracle, w0, 80, b, ref_rng, charge_rejected)
+    got = mod_perceptron(oracle, w0, 80, b, rng, charge_rejected=charge_rejected)
+    assert_replays(oracle, rng, ref_oracle, ref_rng, got, want)
+
+
+class ZeroFirstTape:
+    """A generator whose first batch of Gaussians is all zero, so that no row
+    has a direction orthogonal to the iterate (without a redraw, building
+    the point would divide by zero)."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self._first = True
+
+    def standard_normal(self, size):
+        g = self._rng.standard_normal(size)
+        if isinstance(size, tuple) and self._first:
+            self._first = False
+            return np.zeros_like(g)
+        return g
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_degenerate_gaussians_are_redrawn():
+    model = NoiseModel.bounded(0.2)
+    ref_oracle, w0, _ = fresh(model, 9)
+    oracle, _, _ = fresh(model, 9)
+    ref_rng, rng = ZeroFirstTape(10), ZeroFirstTape(10)
+    want = reference_epoch(ref_oracle, w0, 20, 0.03, ref_rng, False)
+    got = mod_perceptron(oracle, w0, 20, 0.03, rng)
+    assert_replays(oracle, rng, ref_oracle, ref_rng, got, want)
+
+
+def literal_epoch(oracle, w0, m, b, rng):
+    """One epoch on the literal draw-and-discard sampler; returns (w, draws)."""
+    p = band_mass(D, b / 2.0, b)
+    w, draws = w0, 0
+    for _ in range(m):
+        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9,
+                                        method="literal", mass=p)
+        draws += used
+        w = modified_perceptron_step(w, x, oracle.query(x))
+    return w, draws
+
+
+@pytest.mark.parametrize("model", MODELS[:2], ids=lambda m: m.kind)
+def test_engine_law_matches_literal_sampler(model):
+    m, b = 40, WIDTHS["literal"]
+    taped, literal = [], []
+    for seed in range(200):
+        u, w0 = planted_pair(D, 1.0, seed=seed)
+        oracle = LabelingOracle(u, model, np.random.default_rng([seed, 1]))
+        w, _, draws = mod_perceptron(oracle, w0, m, b, np.random.default_rng([seed, 2]))
+        taped.append((draws, geometry.angle(w, u)))
+        oracle = LabelingOracle(u, model, np.random.default_rng([seed, 3]))
+        w, draws = literal_epoch(oracle, w0, m, b, np.random.default_rng([seed, 4]))
+        literal.append((draws, geometry.angle(w, u)))
+    taped, literal = np.array(taped), np.array(literal)
+    assert stats.ks_2samp(taped[:, 0], literal[:, 0]).pvalue > 0.01
+    assert stats.ks_2samp(taped[:, 1], literal[:, 1]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
+def test_budget_exhaustion_reports_spend(charge_rejected):
+    oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 6)
+    p = band_mass(D, 0.015, 0.03)
+    budget = int(40 / p)  # about 40 of the 80 steps' expected draws
+    with pytest.raises(BudgetExhausted) as caught:
+        mod_perceptron(oracle, w0, 80, 0.03, rng, draw_budget=budget,
+                       charge_rejected=charge_rejected)
+    exc = caught.value
+    assert exc.draws_used == budget
+    assert exc.labels_used == oracle.queries
+    assert exc.labels_used == budget if charge_rejected else 0 < exc.labels_used < 80
+    assert abs(np.linalg.norm(exc.iterate) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
@@ -108,10 +211,13 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, sampler):
     assert counts[0] == counts[1] <= 2
 
 
-# sha256 of the concatenated CSVs of the twelve sweeps below, as first
-# recorded. Any change to the random stream of a trial changes it; a change
-# made on purpose must say so and record the new digest.
-GOLDEN_SWEEP_SHA256 = "564506ad5f65750c81eadd09535cac694979894644a897641dcfa3b64eefc871"
+# sha256 of the concatenated CSVs of the twelve sweeps below. Any change to
+# the random stream of a trial changes it; a change made on purpose must say
+# so and record the new digest. Re-pinned when the epochs became taped: the
+# sampler's generator is now read a chunk at a time (draw counts, margins,
+# Gaussians) and the oracle's a chunk of label coins at a time, so every
+# trial's stream, and with it every row, changed once.
+GOLDEN_SWEEP_SHA256 = "05e6b7e4f883676946651f8cd464943e8adad374909adc064aaebc6d201dd3fb"
 
 
 def test_golden_sweep_digest(tmp_path):
@@ -139,17 +245,25 @@ def test_accounting_and_unit_iterates(d, model, b, charge_rejected, epochs, seed
     gen = np.random.default_rng(seed)
     oracle = LabelingOracle(sample_uniform_sphere(d, gen), model, np.random.default_rng(seed + 1))
     w = sample_uniform_sphere(d, gen)
-    iterates = []
+    # The iterate changes only where an update fires, through learner._reflect,
+    # so recording every reflection sees every step's iterate.
+    steps = []
     reflect = learner._reflect
-    learner._reflect = lambda *args: iterates.append(reflect(*args)) or iterates[-1]
+    learner._reflect = lambda *args: steps.append((args[0], reflect(*args))) or steps[-1][1]
     try:
         for m in epochs:
             before = oracle.queries
+            fired = len(steps)
+            w_in = w
             w, labels, draws = mod_perceptron(oracle, w, m, b, gen, charge_rejected=charge_rejected)
             assert labels == oracle.queries - before
             assert draws >= labels >= m
             assert labels == (draws if charge_rejected else m)
+            for w_before, w_after in steps[fired:]:
+                assert w_before is w_in
+                assert math.isclose(np.linalg.norm(w_after), 1.0, abs_tol=1e-9)
+                w_in = w_after
+            assert w is w_in
     finally:
         learner._reflect = reflect
-    assert len(iterates) == sum(epochs)
-    assert all(math.isclose(np.linalg.norm(v), 1.0, abs_tol=1e-9) for v in iterates)
+    assert len(steps) <= sum(epochs)
