@@ -35,7 +35,10 @@ GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS = 200.0
 # or below this is redrawn: its direction is numerically meaningless.
 MIN_ORTHOGONAL_SQ_NORM = 1e-24
 
-_MAX_CHUNK = 1 << 16
+# Bulk draws go in chunks of at most this many bytes of float64 rows: large
+# enough to amortize numpy's per-call cost, small enough to stay in cache
+# and to bound memory in any dimension.
+CHUNK_BYTES = 1 << 20
 
 
 class DimensionMismatch(ValueError):
@@ -104,6 +107,11 @@ class Band:
     @property
     def dimension(self) -> int:
         return self.normal.shape[0]
+
+
+def chunk_rows(d: int, nbytes: int = CHUNK_BYTES) -> int:
+    """Rows of d float64 coordinates that fit in ``nbytes`` (at least one)."""
+    return max(1, nbytes // (8 * d))
 
 
 def sample_uniform_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -276,7 +284,7 @@ def _sample_band_literal(
     draw_budget: int,
 ) -> tuple[np.ndarray, int]:
     d = normal.shape[0]
-    chunk = int(min(max(16, math.ceil(4.0 / mass)), _MAX_CHUNK))
+    chunk = min(max(16, math.ceil(4.0 / mass)), chunk_rows(d))
     used = 0
     while used < draw_budget:
         take = min(chunk, draw_budget - used)
@@ -386,10 +394,12 @@ def conditional_moment_oracle(
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
     done = 0
+    # The chunk stays in rows: the estimates are sums of per-chunk sums, so
+    # the chunk size fixes their last bits.
     while done < n:
         take = min(chunk, n - done)
         g = rng.standard_normal((take, d))
-        g -= np.outer(g @ wv, wv)
+        g -= (g @ wv)[:, None] * wv
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         dots = xi * cos_t + scale * (g @ uv)
         neg = dots * (dots < 0.0)

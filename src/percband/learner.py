@@ -41,7 +41,7 @@ DRAW_BUDGET_FACTOR = 100.0
 
 # An epoch draws its randomness in chunks of at most this many bytes of
 # Gaussians, which bounds its memory in any dimension.
-TAPE_BYTES = 1 << 20
+TAPE_BYTES = geometry.CHUNK_BYTES
 
 
 def modified_perceptron_step(w, x, y: int) -> np.ndarray:
@@ -266,7 +266,7 @@ def mod_perceptron(
     p = geometry.band_mass(d, lower, b)
     if draw_budget is None:
         draw_budget = default_draw_budget(m, p)
-    rows = max(1, TAPE_BYTES // (8 * d))
+    rows = geometry.chunk_rows(d, TAPE_BYTES)
     done = draws = 0
     while done < m:
         n = min(rows, m - done)

@@ -45,12 +45,36 @@ class CheckResult:
         return text
 
 
+def _gaussian_chunks(d: int, n: int, rng: np.random.Generator):
+    """Yield the rows of ``rng.standard_normal((n, d))`` in order, as views of
+    one reused buffer of at most ``geometry.CHUNK_BYTES``. ``standard_normal``
+    fills element by element, so the chunking does not change the stream."""
+    rows = geometry.chunk_rows(d)
+    buf = np.empty((min(rows, n), d))
+    for start in range(0, n, rows):
+        yield rng.standard_normal(out=buf[: min(rows, n - start)])
+
+
+def count_disagreements(a: np.ndarray, b: np.ndarray, n: int, rng: np.random.Generator) -> int:
+    """Points among n uniform on the sphere where sign(a . x) != sign(b . x).
+
+    Draws the same Gaussians from ``rng``, in the same order, as
+    ``geometry.sample_uniform_sphere(d, rng, n=n)``, but tests the signs on
+    them unnormalized: a sign is invariant under positive scaling.
+    """
+    normals = np.column_stack([a, b])
+    count = 0
+    for g in _gaussian_chunks(a.shape[0], n, rng):
+        signs = g @ normals >= 0.0
+        count += int(np.count_nonzero(signs[:, 0] != signs[:, 1]))
+    return count
+
+
 def check_error_angle_relation(
     d: int,
     n_pairs: int,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> list[CheckResult]:
     """Empirical disagreement frequency vs the exact value angle/pi.
 
@@ -63,13 +87,7 @@ def check_error_angle_relation(
         a = geometry.sample_uniform_sphere(d, rng)
         b = geometry.sample_uniform_sphere(d, rng)
         expected = geometry.disagreement_mass(a, b)
-        disagreements = 0
-        done = 0
-        while done < n_samples:
-            take = min(chunk, n_samples - done)
-            pts = geometry.sample_uniform_sphere(d, rng, n=take)
-            disagreements += int(np.sum((pts @ a >= 0.0) != (pts @ b >= 0.0)))
-            done += take
+        disagreements = count_disagreements(a, b, n_samples, rng)
         freq = disagreements / n_samples
         margin = 3.0 * math.sqrt(max(expected * (1.0 - expected), 1e-12) / n_samples)
         deviation = abs(freq - expected)
@@ -191,8 +209,11 @@ def simulate_progress_steps(
     """
     theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=n_steps)
     xi = geometry.sample_band_margin(d, b / 2.0, b, rng, n=n_steps)
-    g = rng.standard_normal((n_steps, d - 1))
-    t = g[:, 0] / np.linalg.norm(g, axis=1)
+    t = np.empty(n_steps)
+    done = 0
+    for g in _gaussian_chunks(d - 1, n_steps, rng):
+        t[done : done + len(g)] = g[:, 0] / np.linalg.norm(g, axis=1)
+        done += len(g)
     u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
     tau = adversarial_threshold(d, model.nu) if model.kind == "adversarial" else None
     ys = labels_from_dots(model, u_dot_x, rng, tau)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from percband import geometry
 
 
 @pytest.fixture
@@ -17,3 +21,16 @@ def planted_pair(d: int, theta: float, seed: int = 0):
     q /= np.linalg.norm(q)
     w = np.cos(theta) * u + np.sin(theta) * q
     return u, w / np.linalg.norm(w)
+
+
+def traced_peak_bytes(fn):
+    """Call fn() and return (its result, the peak bytes numpy and Python
+    allocated meanwhile). The band-mass quadrature runs once first, so the
+    deferred scipy import is not counted."""
+    geometry.band_mass(3, 0.1, 0.2)
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -19,6 +19,8 @@ from percband.cli import main, parse_noise, parse_sweep
 from percband.oracles import NoiseModel
 from percband.verify import CheckResult, run_suite
 
+from conftest import traced_peak_bytes
+
 
 def small_config(**kw):
     base = dict(
@@ -51,6 +53,12 @@ class TestRunSingle:
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
+
+    def test_high_dimensional_trial_memory_is_bounded(self):
+        cfg = small_config(d=5000, epsilon=0.2, scale_m=0.002, trials=1)
+        row, peak = traced_peak_bytes(lambda: run_trial(cfg, 0, 0))
+        assert row.labels > 0
+        assert peak < 8 * geometry.CHUNK_BYTES
 
     def test_labels_column_matches_report(self):
         rows = run_single(small_config())

@@ -19,7 +19,7 @@ from percband.geometry import (
     sample_uniform_sphere,
 )
 
-from conftest import planted_pair
+from conftest import planted_pair, traced_peak_bytes
 
 
 def band_mass_closed_form(d: int, lower: float, upper: float) -> float:
@@ -241,6 +241,19 @@ class TestRejectionSampleBand:
         m = 1000
         total = sum(rejection_sample_band(band, rng, 10**7)[1] for _ in range(m))
         assert total <= 2 * m / p
+
+    def test_literal_memory_is_bounded_in_high_dimension(self):
+        # d=5000, p ~ 0.002: a chunk of ceil(4/p) rows would be ~75 MB; the
+        # literal sampler's chunks are capped at CHUNK_BYTES of Gaussians.
+        d, lower, upper = 5000, 0.04, 0.05
+        band = self.make_band(d=d, lower=lower, upper=upper)
+        mass = band_mass(d, lower, upper)
+        rng = np.random.default_rng(0)
+        (x, draws), peak = traced_peak_bytes(
+            lambda: rejection_sample_band(band, rng, 10**7, method="literal", mass=mass)
+        )
+        assert lower <= float(x @ band.normal) <= upper and draws >= 1
+        assert peak < 8 * geometry.CHUNK_BYTES
 
 
 class TestConditionalMomentOracle:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from percband import bench, geometry
 from percband.learner import mod_perceptron_params
 from percband.oracles import NoiseModel
 from percband.verify import (
@@ -11,9 +13,15 @@ from percband.verify import (
     check_conditional_moments,
     check_error_angle_relation,
     check_progress_measure,
+    count_disagreements,
     run_suite,
     simulate_progress_steps,
 )
+
+# sha256 of the verify CSV of run_suite(seed=0, n_samples=20_000). How the
+# checks draw may change only if every count, estimate and generator state
+# stays the same, and with them these bytes.
+VERIFY_20K_SHA256 = "96c8fd4e02f0480e73037e710cfd2935c9fdbeabcec7d77d733f29edc3a3f48b"
 
 
 class TestErrorAngleCheck:
@@ -22,6 +30,21 @@ class TestErrorAngleCheck:
         assert len(results) == 5
         assert all(r.passed for r in results)
         assert all(r.statistic <= r.margin for r in results)
+
+    @pytest.mark.parametrize("d,n", [(10, 30_000), (3, 100_000), (25, 50)])
+    def test_counts_match_normalized_points(self, d, n):
+        # Same Gaussians in the same order as normalized sphere points drawn
+        # in one block. At d=10 and d=3, n spans two chunks and part of a
+        # third; at d=25, n is less than one chunk.
+        new, ref = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(3):
+            a, b = geometry.sample_uniform_sphere(d, new), geometry.sample_uniform_sphere(d, new)
+            count = count_disagreements(a, b, n, new)
+            geometry.sample_uniform_sphere(d, ref)
+            geometry.sample_uniform_sphere(d, ref)
+            pts = geometry.sample_uniform_sphere(d, ref, n=n)
+            assert count == int(np.sum((pts @ a >= 0.0) != (pts @ b >= 0.0)))
+            assert new.bit_generator.state == ref.bit_generator.state
 
 
 class TestBandMassCheck:
@@ -92,6 +115,11 @@ class TestSuite:
         assert all_passed(a)
         assert [r.name for r in a] == [r.name for r in b]
         assert [r.statistic for r in a] == [r.statistic for r in b]
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "verify.csv"
+        bench.write_verify_csv(str(path), run_suite(seed=0, n_samples=20_000))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_20K_SHA256
 
     def test_lines_are_formatted(self):
         results = run_suite(seed=1, n_samples=20_000)
