@@ -17,6 +17,7 @@ its generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,7 +68,7 @@ def check_unit(v, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(
             f"{name} must have dimension >= {MIN_DIMENSION}, got {arr.shape[0]}"
         )
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(arr.dot(arr))
     if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise ValueError(f"{name} must have unit norm, got {norm!r}")
     return arr
@@ -81,9 +82,9 @@ def check_same_dimension(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def normalize(v) -> np.ndarray:
-    """Scale ``v`` to unit norm (rejects the zero vector)."""
+    """Scale the 1-D vector ``v`` to unit norm (rejects the zero vector)."""
     arr = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(arr.dot(arr))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return arr / norm
@@ -146,38 +147,47 @@ def disagreement_mass(a, b) -> float:
     return angle(a, b) / math.pi
 
 
-def marginal_density(d: int, z):
-    """Density of one coordinate of a uniform point on the sphere in R^d."""
-    if d < MIN_DIMENSION:
-        raise DimensionMismatch(f"dimension must be >= {MIN_DIMENSION}, got {d}")
-    z = np.asarray(z, dtype=np.float64)
-    norm = math.exp(
-        math.lgamma((d - 1) / 2.0) + math.lgamma(0.5) - math.lgamma(d / 2.0)
-    )
-    return np.where(np.abs(z) <= 1.0, (1.0 - np.minimum(z * z, 1.0)) ** ((d - 3) / 2.0), 0.0) / norm
-
-
 def band_mass(d: int, lower: float, upper: float) -> float:
-    """P[lower <= x1 <= upper] for x uniform on the sphere in R^d.
+    """P[lower <= x1 <= upper] for x uniform on the sphere in R^d, in closed form.
 
-    Computed by adaptive quadrature of the one-coordinate marginal density;
-    relative error is driven below 1e-8.
+    With q = 1 - z^2, k = (d - 3) // 2 and e = 1 if d is even, else 0:
+    P[0 <= x1 <= z] = e asin(z)/pi + t_0 + ... + t_k, P[x1 >= z] = t_{k+1} + ...,
+    t_0 = z sqrt(q)/pi if e else z/2, t_i = t_{i-1} q (2i - 1 + e)/(2i + e)
+    (Abramowitz & Stegun 26.7.3-4). Every term is positive.
     """
     if d < MIN_DIMENSION:
         raise DimensionMismatch(f"dimension must be >= {MIN_DIMENSION}, got {d}")
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError(f"invalid interval [{lower}, {upper}]")
-    from scipy import integrate  # deferred: scipy costs most of a cold import
+    k = (d - 3) // 2
+    below = _series_sum(d, lower, 0, k) if lower > 0.0 else 0.0
+    if 0.5 - below >= 2.0**-10:  # else a difference of masses near 1/2 would cancel
+        return _series_sum(d, upper, 0, k) - below
+    # Upper masses: each term is below q times the one before, so the terms
+    # past t_n add under 2^-53 of P[x1 >= lower] once q^(n-k) <= 2^-53 lower^2.
+    n = k + math.ceil(math.log(2.0**53 / lower**2) / -math.log1p(-lower * lower))
+    return _series_sum(d, lower, k + 1, n) - _series_sum(d, upper, k + 1, n)
 
-    value, _ = integrate.quad(
-        lambda z: marginal_density(d, z),
-        lower,
-        upper,
-        epsabs=0.0,
-        epsrel=1e-10,
-        limit=200,
-    )
-    return float(value)
+
+@functools.lru_cache(maxsize=16)
+def _series_factors(d: int, n: int) -> np.ndarray:
+    """t_i / (t_0 q^i) for 0 <= i <= n, read-only: the cache shares it."""
+    m = 2.0 * np.arange(1, n + 1) + (d % 2 == 0)
+    factors = np.cumprod(np.concatenate(([1.0], (m - 1.0) / m)))
+    factors.flags.writeable = False
+    return factors
+
+
+def _series_sum(d: int, z: float, start: int, stop: int) -> float:
+    """t_start + ... + t_stop at z, plus e asin(z)/pi if start is 0. q^i is
+    exp(i log1p(-z^2)), as q^i of a rounded q would be off by i ulps."""
+    if z >= 1.0:
+        return 0.5 if start == 0 else 0.0
+    even = d % 2 == 0
+    powers = np.exp(np.arange(start, stop + 1) * math.log1p(-z * z))
+    t0 = z * math.sqrt((1.0 - z) * (1.0 + z)) / math.pi if even else 0.5 * z
+    head = math.asin(z) / math.pi if even and start == 0 else 0.0
+    return head + t0 * float(powers.dot(_series_factors(d, stop)[start:]))
 
 
 def sample_band_margin(
@@ -258,8 +268,8 @@ def rejection_sample_band(
     ``"auto"`` picks geometric once the expected draws per accepted point
     exceed GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS.
 
-    ``mass`` short-circuits the band-mass quadrature for callers that sample
-    the same band geometry repeatedly.
+    ``mass`` skips the :func:`band_mass` call for callers that sample the
+    same band geometry repeatedly.
     """
     if draw_budget < 1:
         raise ValueError("draw_budget must be >= 1")

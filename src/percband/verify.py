@@ -3,7 +3,7 @@
 Each check replays one of the quantitative facts the learner relies on
 (error/angle identity, band-mass lower bound, conditional moment bounds,
 per-step expected progress and its coarse envelope) as a seeded Monte Carlo
-or quadrature experiment with an explicit pass/fail margin. Sampled checks
+or exact computation with an explicit pass/fail margin. Sampled checks
 use 3-standard-error margins: tight enough to catch implementation bugs,
 loose enough (~0.3% false-failure rate per check) not to trip on luck.
 """
@@ -108,7 +108,7 @@ def check_band_mass_bound(
     d_list: list[int],
     b_list: list[float],
 ) -> list[CheckResult]:
-    """Quadrature band mass of [b/2, b] vs the lower bound sqrt(d) b / (8 pi).
+    """Exact band mass of [b/2, b] vs the lower bound sqrt(d) b / (8 pi).
 
     The bound is only claimed for b <= 1/(10 sqrt(d)); wider bands are
     reported as skipped with a precondition note.

@@ -3,8 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from percband import geometry
-
 
 @pytest.fixture
 def rng():
@@ -25,9 +23,7 @@ def planted_pair(d: int, theta: float, seed: int = 0):
 
 def traced_peak_bytes(fn):
     """Call fn() and return (its result, the peak bytes numpy and Python
-    allocated meanwhile). The band-mass quadrature runs once first, so the
-    deferred scipy import is not counted."""
-    geometry.band_mass(3, 0.1, 0.2)
+    allocated meanwhile)."""
     tracemalloc.start()
     try:
         result = fn()

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import percband
 from percband import geometry, learner
 from percband.bench import (
     CSV_HEADER,
@@ -287,6 +291,37 @@ class TestCli:
         assert code == 0
         rows = out.read_text().splitlines()[1:]
         assert all(",init," in r for r in rows)
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: the CLI paths that compute band
+        # masses and slab thresholds must not import it. A fresh interpreter,
+        # because this one has imported scipy for the tests.
+        script = (
+            "import json, sys\n"
+            "from percband.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['run', '--d', '10', '--epsilon', '0.2', '--trials', '1',\n"
+            "             '--noise', 'adversarial:0.02', '--out', out + '/adv.csv']) == 0\n"
+            "assert main(['init-run', '--d', '5', '--epsilon', '0.5', '--trials', '1',\n"
+            "             '--out', out + '/init.csv']) == 0\n"
+            "main(['verify', '--samples', '2000', '--out', out + '/verify.csv'])\n"
+            "try:\n"
+            "    main(['run', '--d', '10', '--epsilon', '0.05', '--max-draws', '1000'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 2\n"
+            "else:\n"
+            "    raise AssertionError('the preflight did not refuse')\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(percband.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "verify.csv").exists()
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestTimingColumn:

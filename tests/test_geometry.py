@@ -28,6 +28,37 @@ def band_mass_closed_form(d: int, lower: float, upper: float) -> float:
     return 0.5 * (special.betainc(a, b, upper * upper) - special.betainc(a, b, lower * lower))
 
 
+def band_mass_reference(d: int, lower: float, upper: float) -> float:
+    """The incomplete-beta oracle in its well-conditioned form: as a
+    difference of upper tails (betaincc) once the lower mass passes 1/4."""
+    a, b = 0.5, (d - 1) / 2.0
+    if special.betainc(a, b, lower * lower) > 0.5:
+        return 0.5 * (special.betaincc(a, b, lower * lower) - special.betaincc(a, b, upper * upper))
+    return band_mass_closed_form(d, lower, upper)
+
+
+def band_mass_by_quadrature(d: int, lower: float, upper: float) -> float:
+    """Independent oracle: adaptive quadrature of the one-coordinate density."""
+    norm = special.beta((d - 1) / 2.0, 0.5)
+    value, _ = integrate.quad(
+        lambda z: (1.0 - z * z) ** ((d - 3) / 2.0) / norm,
+        lower, upper, epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return value
+
+
+def accuracy_intervals(d: int) -> list[tuple[float, float]]:
+    """Fixed intervals, a schedule band [b/2, b], and intervals around the
+    upper-tail switch (near 3.1 standard deviations) and beyond it. In the
+    upper tail, e.g. [0.2, 0.4] at d=1000 or [0.1, 1] at d=5000, a difference
+    of lower masses near 1/2 is off by 3e-7 and 2e-4 relative."""
+    s = 1.0 / math.sqrt(d)
+    scaled = [(s / 20, s / 10), (2 * s, 1.0), (3 * s, 4 * s), (3.2 * s, 1.0), (5 * s, 6 * s)]
+    fixed = [(0.0, 0.1), (0.05, 0.2), (0.3, 0.9), (0.0, 1.0), (0.9, 1.0), (0.2, 0.4),
+             (0.1, 1.0), (0.5, 0.6), (0.999, 1.0)]
+    return fixed + [(lo, hi) for lo, hi in scaled if lo < hi <= 1.0]
+
+
 class TestSampleUniformSphere:
     def test_unit_norm(self, rng):
         for d in (3, 10, 100):
@@ -144,6 +175,33 @@ class TestBandMass:
         for lo, hi in [(0.0, 0.1), (0.05, 0.2), (0.3, 0.9), (0.0, 1.0), (0.9, 1.0)]:
             assert band_mass(d, lo, hi) == pytest.approx(
                 band_mass_closed_form(d, lo, hi), rel=1e-8, abs=1e-14
+            )
+
+    @pytest.mark.parametrize("d", [*range(3, 61), 100, 1000, 5000])
+    def test_matches_incomplete_beta_to_1e11(self, d):
+        # abs=1e-300: masses that underflow to subnormals (e.g. [0.9, 1] at
+        # d=1000) carry no relative precision in any implementation.
+        for lo, hi in accuracy_intervals(d):
+            assert band_mass(d, lo, hi) == pytest.approx(
+                band_mass_reference(d, lo, hi), rel=1e-11, abs=1e-300
+            ), (lo, hi)
+
+    @pytest.mark.parametrize("d", [2000, 5000])
+    def test_high_dimension_to_1e12(self, d):
+        # q = 1 - z^2 is rounded: raising it to the i-th power, i up to d/2,
+        # would multiply that error by i and miss this near the tail switch.
+        s = 1.0 / math.sqrt(d)
+        for lo, hi in [(3 * s, 4 * s), (3 * s, 1.0)]:
+            assert band_mass(d, lo, hi) == pytest.approx(
+                band_mass_reference(d, lo, hi), rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize("d", [3, 4, 9, 30, 101])
+    def test_matches_quadrature(self, d):
+        b = 1.0 / (10.0 * math.sqrt(d))
+        for lo, hi in [(0.0, 0.1), (0.05, 0.2), (0.3, 0.9), (b / 2, b)]:
+            assert band_mass(d, lo, hi) == pytest.approx(
+                band_mass_by_quadrature(d, lo, hi), rel=1e-11, abs=0.0
             )
 
     def test_invalid_interval(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from percband import geometry
 from percband.geometry import DimensionMismatch, sample_uniform_sphere
@@ -98,6 +99,17 @@ class TestAdversarial:
             assert 2.0 * geometry.band_mass(d, 0.0, tau) == pytest.approx(nu, abs=1e-10)
         assert adversarial_threshold(10, 0.0) == 0.0
         assert adversarial_threshold(10, 1.0) == 1.0
+
+    @pytest.mark.parametrize("d", [3, 4, 10, 11, 1000])
+    def test_threshold_to_1e12_and_monotone(self, d):
+        nus = [1e-6, 0.005, 0.05, 0.3, 0.9, 0.999]
+        for nu in nus:
+            tau = adversarial_threshold(d, nu)
+            exact = math.sqrt(special.betaincinv(0.5, (d - 1) / 2.0, nu))
+            assert tau == pytest.approx(exact, abs=1e-12)
+            assert 2.0 * geometry.band_mass(d, 0.0, tau) == pytest.approx(nu, abs=1e-12)
+        taus = [adversarial_threshold(d, nu) for nu in np.linspace(0.001, 0.999, 40)]
+        assert np.all(np.diff(taus) > 0.0)
 
     def test_total_disagreement_equals_nu(self, rng):
         d, nu = 10, 0.05
