@@ -115,6 +115,16 @@ def chunk_rows(d: int, nbytes: int = CHUNK_BYTES) -> int:
     return max(1, nbytes // (8 * d))
 
 
+def gaussian_chunks(d: int, n: int, rng: np.random.Generator):
+    """Yield the rows of ``rng.standard_normal((n, d))`` in order, as views of
+    one reused buffer of at most ``CHUNK_BYTES``. ``standard_normal`` fills
+    element by element, so the chunking does not change the stream."""
+    rows = chunk_rows(d)
+    buf = np.empty((min(rows, n), d))
+    for start in range(0, n, rows):
+        yield rng.standard_normal(out=buf[: min(rows, n - start)])
+
+
 def sample_uniform_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Draw uniformly from the unit sphere in R^d by normalizing Gaussians.
 
@@ -374,7 +384,6 @@ def conditional_moment_oracle(
     xi: float,
     n: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> ConditionalMoments:
     """Moments of u . x with x uniform on the slice {x on sphere : w . x = xi}.
 
@@ -384,6 +393,9 @@ def conditional_moment_oracle(
     sin(theta) t with t the first-coordinate marginal of that sphere. The
     preconditions mirror the regime in which the closed-form bounds on these
     moments hold: theta in (0, 9 pi / 10] and 0 <= xi <= theta / (4 sqrt(d)).
+
+    The Gaussians behind x_perp are drawn and reduced ``CHUNK_BYTES`` at a
+    time (:func:`gaussian_chunks`); the estimates are sums of per-chunk sums.
     """
     uv = check_unit(u, "u")
     wv = check_unit(w, "w")
@@ -403,30 +415,14 @@ def conditional_moment_oracle(
     scale = math.sqrt(max(0.0, 1.0 - xi * xi))
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
-    done = 0
-    # The chunk stays in rows: the estimates are sums of per-chunk sums, so
-    # the chunk size fixes their last bits.
-    while done < n:
-        take = min(chunk, n - done)
-        g = rng.standard_normal((take, d))
+    for g in gaussian_chunks(d, n, rng):
         g -= (g @ wv)[:, None] * wv
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        dots = xi * cos_t + scale * (g @ uv)
+        dots = xi * cos_t + scale * (g @ uv) / np.sqrt(np.einsum("ij,ij->i", g, g))
         neg = dots * (dots < 0.0)
         for i, vals in enumerate((dots, dots * dots, neg)):
             sums[i] += vals.sum()
             sq_sums[i] += np.square(vals).sum()
-        done += take
 
     means = sums / n
-    variances = np.maximum(sq_sums / n - means * means, 0.0)
-    ses = np.sqrt(variances / n)
-    return ConditionalMoments(
-        mean=float(means[0]),
-        second_moment=float(means[1]),
-        negative_part_mean=float(means[2]),
-        se_mean=float(ses[0]),
-        se_second=float(ses[1]),
-        se_negative=float(ses[2]),
-        n=n,
-    )
+    ses = np.sqrt(np.maximum(sq_sums / n - means * means, 0.0) / n)
+    return ConditionalMoments(*means.tolist(), *ses.tolist(), n=n)

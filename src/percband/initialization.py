@@ -176,19 +176,11 @@ def _sample_disagreement_region(
                 f"disagreement-region sampling exhausted {budget} draws",
                 draws_used=budget,
             )
-        take = min(_TEST_CHUNK, budget - used)
+        take = min(_TEST_CHUNK, geometry.chunk_rows(d), budget - used)
         pts = geometry.sample_uniform_sphere(d, rng, n=take)
-        mask = (pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0)
-        hits = pts[mask]
-        if filled + hits.shape[0] >= n:
-            # Count only draws up to and including the n-th accepted point.
-            idx = np.flatnonzero(mask)
-            last_needed = int(idx[n - filled - 1])
-            used += last_needed + 1
-            out[filled:n] = hits[: n - filled]
-            filled = n
-            break
-        used += take
-        out[filled : filled + hits.shape[0]] = hits
-        filled += hits.shape[0]
+        hits = np.flatnonzero((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))[: n - filled]
+        out[filled : filled + hits.size] = pts[hits]
+        filled += hits.size
+        # Count only draws up to and including the n-th accepted point.
+        used += take if filled < n else int(hits[-1]) + 1
     return out, used

@@ -45,16 +45,6 @@ class CheckResult:
         return text
 
 
-def _gaussian_chunks(d: int, n: int, rng: np.random.Generator):
-    """Yield the rows of ``rng.standard_normal((n, d))`` in order, as views of
-    one reused buffer of at most ``geometry.CHUNK_BYTES``. ``standard_normal``
-    fills element by element, so the chunking does not change the stream."""
-    rows = geometry.chunk_rows(d)
-    buf = np.empty((min(rows, n), d))
-    for start in range(0, n, rows):
-        yield rng.standard_normal(out=buf[: min(rows, n - start)])
-
-
 def count_disagreements(a: np.ndarray, b: np.ndarray, n: int, rng: np.random.Generator) -> int:
     """Points among n uniform on the sphere where sign(a . x) != sign(b . x).
 
@@ -64,7 +54,7 @@ def count_disagreements(a: np.ndarray, b: np.ndarray, n: int, rng: np.random.Gen
     """
     normals = np.column_stack([a, b])
     count = 0
-    for g in _gaussian_chunks(a.shape[0], n, rng):
+    for g in geometry.gaussian_chunks(a.shape[0], n, rng):
         signs = g @ normals >= 0.0
         count += int(np.count_nonzero(signs[:, 0] != signs[:, 1]))
     return count
@@ -190,6 +180,26 @@ def check_conditional_moments(
     return results
 
 
+def _progress_chunks(
+    model: NoiseModel, d: int, theta: float, b: float, n_steps: int, rng: np.random.Generator
+):
+    """Yield the increments of :func:`simulate_progress_steps` in chunks of
+    ``geometry.chunk_rows(d - 1)`` steps. Each chunk draws its angles, its
+    margins, its Gaussians (into one reused 1 MiB buffer), then its label coins."""
+    tau = adversarial_threshold(d, model.nu) if model.kind == "adversarial" else None
+    rows = geometry.chunk_rows(d - 1)
+    buf = np.empty((min(rows, n_steps), d - 1))
+    for start in range(0, n_steps, rows):
+        count = min(rows, n_steps - start)
+        theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=count)
+        xi = geometry.sample_band_margin(d, b / 2.0, b, rng, n=count)
+        g = rng.standard_normal(out=buf[:count])
+        t = g[:, 0] / np.sqrt(np.einsum("ij,ij->i", g, g))
+        u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
+        ys = labels_from_dots(model, u_dot_x, rng, tau)
+        yield np.where(ys * xi < 0.0, -2.0 * xi * u_dot_x, 0.0)
+
+
 def simulate_progress_steps(
     model: NoiseModel,
     d: int,
@@ -206,19 +216,9 @@ def simulate_progress_steps(
     sqrt(1 - xi^2) sin(theta_t) t, with t the orthogonal-sphere marginal),
     labels it by the noise law, and returns the exact change of cos(angle)
     the reflection update would produce: -2 * 1{y (w.x) < 0} (w.x)(u.x).
+    This concatenates the chunks of :func:`_progress_chunks`.
     """
-    theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=n_steps)
-    xi = geometry.sample_band_margin(d, b / 2.0, b, rng, n=n_steps)
-    t = np.empty(n_steps)
-    done = 0
-    for g in _gaussian_chunks(d - 1, n_steps, rng):
-        t[done : done + len(g)] = g[:, 0] / np.linalg.norm(g, axis=1)
-        done += len(g)
-    u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
-    tau = adversarial_threshold(d, model.nu) if model.kind == "adversarial" else None
-    ys = labels_from_dots(model, u_dot_x, rng, tau)
-    fires = ys * xi < 0.0
-    return np.where(fires, -2.0 * xi * u_dot_x, 0.0)
+    return np.concatenate(list(_progress_chunks(model, d, theta, b, n_steps, rng)))
 
 
 def check_progress_measure(
@@ -238,6 +238,9 @@ def check_progress_measure(
     coarse-bound threshold 16 c zeta theta^2 / (3 sqrt(d)) is evaluated at the
     schedule's actual c = b sqrt(d) / (zeta theta), i.e. the threshold equals
     16 b theta / 3.
+
+    The steps are those of :func:`simulate_progress_steps`, reduced chunk by
+    chunk to a running sum, sum of squares and max |increment|.
     """
     if not (0.0 < theta <= 27.0 * math.pi / 50.0):
         raise ValueError(f"theta must lie in (0, 27 pi / 50], got {theta}")
@@ -247,12 +250,15 @@ def check_progress_measure(
         )
     if b > theta:
         raise ValueError("coarse bound requires b <= theta")
-    deltas = simulate_progress_steps(model, d, theta, b, n_steps, rng)
-    mean = float(np.mean(deltas))
-    se = float(np.std(deltas) / math.sqrt(n_steps))
+    total = sq_total = worst = 0.0
+    for deltas in _progress_chunks(model, d, theta, b, n_steps, rng):
+        total += float(deltas.sum())
+        sq_total += float(np.square(deltas).sum())
+        worst = max(worst, float(np.max(np.abs(deltas))))
+    mean = total / n_steps
+    se = math.sqrt(max(sq_total / n_steps - mean * mean, 0.0) / n_steps)
     tag = f"{model.kind},d={d},theta={theta:.4g}"
     coarse = 16.0 * b * theta / 3.0
-    worst = float(np.max(np.abs(deltas)))
     return [
         CheckResult(
             name=f"progress_positive[{tag}]",

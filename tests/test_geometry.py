@@ -330,6 +330,28 @@ class TestConditionalMomentOracle:
             assert res.second_moment <= 5.0 * theta**2 / d + 3.0 * res.se_second
             assert res.negative_part_mean <= xi - theta / (36.0 * math.sqrt(d)) + 3.0 * res.se_negative
 
+    def test_chunks_keep_the_stream(self):
+        # n spans two chunks and part of a third; the reference reduces the
+        # same Gaussians in one block.
+        d, theta = 20, math.pi / 4
+        n = 2 * geometry.chunk_rows(d) + 1000
+        u, w = planted_pair(d, theta, seed=6)
+        xi = theta / (8.0 * math.sqrt(d))
+        new, ref = np.random.default_rng(6), np.random.default_rng(6)
+        res = conditional_moment_oracle(u, w, xi, n, new)
+        g = ref.standard_normal((n, d))
+        g -= np.outer(g @ w, w)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        dots = xi * math.cos(theta) + math.sqrt(1.0 - xi * xi) * (g @ u)
+        assert new.bit_generator.state == ref.bit_generator.state
+        for vals, mean, se in (
+            (dots, res.mean, res.se_mean),
+            (dots * dots, res.second_moment, res.se_second),
+            (np.minimum(dots, 0.0), res.negative_part_mean, res.se_negative),
+        ):
+            assert mean == pytest.approx(vals.mean(), rel=1e-12, abs=0.0)
+            assert se == pytest.approx(vals.std() / math.sqrt(n), rel=1e-12, abs=0.0)
+
     def test_second_moment_analytic_bound_value(self, rng):
         # 5 theta^2 / d at theta = pi/4, d = 20.
         bound = 5.0 * (math.pi / 4) ** 2 / 20

@@ -12,6 +12,8 @@ from percband.initialization import (
 )
 from percband.oracles import LabelingOracle, NoiseModel
 
+from conftest import planted_pair, traced_peak_bytes
+
 
 def init_trial(model, d=5, seed=0, delta=0.1, target=None):
     ss = np.random.SeedSequence((7, seed))
@@ -118,3 +120,14 @@ class TestDisagreementRegionSampling:
         _, used = _sample_disagreement_region(u, w, n, rng)
         expected = n / geometry.disagreement_mass(u, w)
         assert 0.5 * expected <= used <= 2.0 * expected
+
+    def test_memory_is_bounded_in_high_dimension(self, rng):
+        # d=2000: a chunk of 8192 rows would be 125 MiB; chunks are capped at
+        # CHUNK_BYTES of sphere points.
+        v_pos, v_neg = planted_pair(2000, math.pi / 2, seed=2)
+        (pts, used), peak = traced_peak_bytes(
+            lambda: _sample_disagreement_region(v_pos, v_neg, 50, rng)
+        )
+        assert pts.shape == (50, 2000) and used >= 50
+        assert np.all((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))
+        assert peak < 8 * geometry.CHUNK_BYTES

@@ -18,10 +18,16 @@ from percband.verify import (
     simulate_progress_steps,
 )
 
-# sha256 of the verify CSV of run_suite(seed=0, n_samples=20_000). How the
-# checks draw may change only if every count, estimate and generator state
-# stays the same, and with them these bytes.
-VERIFY_20K_SHA256 = "96c8fd4e02f0480e73037e710cfd2935c9fdbeabcec7d77d733f29edc3a3f48b"
+from conftest import traced_peak_bytes
+
+# sha256 of the verify CSV of run_suite(seed=0, n_samples=20_000). It changed
+# once when every check came to draw and reduce 1 MiB of Gaussians at a time:
+# the progress check now draws angles, margins, Gaussians and label coins
+# chunk by chunk (a new stream), and the moment check sums per chunk (its
+# printed digits did not move). Beyond that, how the checks draw may change
+# only if every count, estimate and generator state stays the same, and with
+# them these bytes.
+VERIFY_20K_SHA256 = "57576b1265fe3f9397b9a666ace8c0ec62f50debb3d2f5ea2368d90e8202f8d7"
 
 
 class TestErrorAngleCheck:
@@ -62,7 +68,7 @@ class TestBandMassCheck:
         # mass(b/2, b) = b/4 for d=3; bound is sqrt(3) b / (8 pi).
         (res,) = check_band_mass_bound([3], [0.05])
         assert res.statistic == pytest.approx(0.0125, rel=1e-9)
-        assert res.bound == pytest.approx(math.sqrt(3) * 0.05 / (8 * math.pi), rel=1e-12)
+        assert res.bound == pytest.approx(math.sqrt(3) * 0.05 / (8 * math.pi), rel=1e-12, abs=0.0)
         assert res.passed
 
 
@@ -72,11 +78,38 @@ class TestConditionalMomentCheck:
         assert len(results) == 6
         assert all(r.passed for r in results)
 
+    def test_memory_is_bounded(self, rng):
+        results, peak = traced_peak_bytes(
+            lambda: check_conditional_moments(20, [math.pi / 8], 200_000, rng)
+        )
+        assert all(r.passed for r in results)
+        assert peak < 8 * geometry.CHUNK_BYTES
+
 
 class TestProgressMeasureCheck:
     def test_realizable_positive(self, rng):
         results = check_progress_measure(NoiseModel.realizable(), 10, math.pi / 4, 100_000, rng)
         assert all(r.passed for r in results)
+
+    def test_memory_is_bounded(self, rng):
+        results, peak = traced_peak_bytes(
+            lambda: check_progress_measure(NoiseModel.realizable(), 10, math.pi / 4, 400_000, rng)
+        )
+        assert all(r.passed for r in results)
+        assert peak < 8 * geometry.CHUNK_BYTES
+
+    def test_chunked_reduction_matches_steps(self):
+        # n spans two chunks and part of a third; the check's running sums
+        # agree with the concatenated increments of the same stream.
+        theta, d, model = math.pi / 4, 10, NoiseModel.bounded(0.3)
+        n = 2 * geometry.chunk_rows(d - 1) + 1000
+        positive, coarse = check_progress_measure(model, d, theta, n, np.random.default_rng(5))
+        _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
+        deltas = simulate_progress_steps(model, d, theta, b, n, np.random.default_rng(5))
+        assert deltas.shape == (n,)
+        assert positive.statistic == pytest.approx(deltas.mean(), rel=1e-12, abs=0.0)
+        assert positive.margin == pytest.approx(3.0 * deltas.std() / math.sqrt(n), rel=1e-12, abs=0.0)
+        assert coarse.statistic == np.max(np.abs(deltas))
 
     def test_bounded_positive_but_smaller(self, rng):
         # At a fixed band width the drift scales like (1 - 2 eta).
@@ -101,7 +134,7 @@ class TestProgressMeasureCheck:
         results = check_progress_measure(NoiseModel.realizable(), d, theta, 50_000, rng)
         coarse = [r for r in results if "coarse" in r.name][0]
         _, b = mod_perceptron_params(d, theta, 0.1, 1.0)
-        assert coarse.bound == pytest.approx(16.0 * b * theta / 3.0, rel=1e-12)
+        assert coarse.bound == pytest.approx(16.0 * b * theta / 3.0, rel=1e-12, abs=0.0)
 
     def test_theta_out_of_range_rejected(self, rng):
         with pytest.raises(ValueError):
