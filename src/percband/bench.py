@@ -18,6 +18,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +42,7 @@ CSV_HEADER = (
 )
 VERIFY_CSV_HEADER = "check,passed,statistic,bound,margin,detail"
 
-MODES = ("active", "passive", "init", "verify")
+MODES = ("active", "passive", "init")
 SWEEP_AXES = ("d", "eta", "nu", "epsilon")
 
 
@@ -59,7 +60,6 @@ class ExperimentConfig:
     output_path: str | None = None
     jobs: int = 1
     measure_time: bool = False
-    samples: int = 1_000_000  # Monte Carlo samples per verify check
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -72,8 +72,10 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -176,22 +178,17 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     extra_labels = 0
     extra_draws = 0
     try:
-        if config.mode in ("active", "passive"):
-            v0 = _acute_start(target, rng_plant)
-            report = active_perceptron(
-                oracle, v0, config.epsilon, config.delta, schedule, rng_sampler,
-                target=target, charge_rejected=config.mode == "passive",
-            )
-        elif config.mode == "init":
+        if config.mode == "init":
             init = acute_initialize(oracle, config.d, _init_config(config), rng_sampler)
             extra_labels = init.total_labels
             extra_draws = init.total_unlabeled
-            report = active_perceptron(
-                oracle, init.vector, config.epsilon, config.delta, schedule, rng_sampler,
-                target=target,
-            )
+            v0 = init.vector
         else:
-            raise ValueError(f"run_trial cannot execute mode {config.mode!r}")
+            v0 = _acute_start(target, rng_plant)
+        report = active_perceptron(
+            oracle, v0, config.epsilon, config.delta, schedule, rng_sampler,
+            target=target, charge_rejected=config.mode == "passive",
+        )
     except BudgetExhausted as exc:
         exc.charge(extra_labels, extra_draws)
         report = None
@@ -223,31 +220,23 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     )
 
 
-def _run_trial_packed(args: tuple[ExperimentConfig, int, int]) -> TrialRow:
-    return run_trial(*args)
-
-
 def _execute(config: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[TrialRow]:
     """Run (value_index, trial_index) tasks, deterministically ordered output."""
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_run_trial_packed, [(config, v, t) for v, t in tasks]))
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(run_trial, config), *zip(*tasks)))
     else:
         rows = [run_trial(config, v, t) for v, t in tasks]
     return sorted(rows, key=lambda r: (r.value_index, r.trial))
 
 
 def run_single(config: ExperimentConfig):
-    """Run the configured trials at a single setting (or the verify suite).
+    """Run the configured trials at a single setting.
 
-    Returns the list of TrialRow (or CheckResult for mode="verify") and
-    writes the CSV when an output path is configured.
+    Returns the list of TrialRow and writes the CSV when an output path is
+    configured.
     """
-    if config.mode == "verify":
-        results = verify.run_suite(config.master_seed, n_samples=config.samples)
-        if config.output_path:
-            write_verify_csv(config.output_path, results)
-        return results
     rows = _execute(config, [(0, t) for t in range(config.trials)])
     if config.output_path:
         write_csv(config.output_path, rows)
@@ -272,10 +261,9 @@ class SweepSummary:
 
 def config_for_value(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis == "d":
-        d = int(value)
-        if d != value or d < 3:
+        if not math.isfinite(value) or value != int(value) or value < 3:
             raise ValueError(f"invalid dimension {value!r}")
-        return replace(config, d=d)
+        return replace(config, d=int(value))
     if axis == "epsilon":
         return replace(config, epsilon=float(value))
     if axis == "eta":
@@ -299,7 +287,6 @@ def run_sweep(
     for vi, value in enumerate(values):
         sub = config_for_value(config, sweep_axis, value)
         rows.extend(_execute(sub, [(vi, t) for t in range(config.trials)]))
-    rows.sort(key=lambda r: (r.value_index, r.trial))
     summaries = []
     for vi, value in enumerate(values):
         group = [r for r in rows if r.value_index == vi]

@@ -91,8 +91,8 @@ def mod_perceptron_params(
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
     if not (0.0 < theta <= math.pi):
         raise ValueError(f"theta must lie in (0, pi], got {theta}")
-    if scale_m <= 0.0 or scale_b <= 0.0:
-        raise ValueError("scale factors must be positive")
+    if not (0.0 < scale_m < math.inf and 0.0 < scale_b < math.inf):
+        raise ValueError("scale factors must be positive and finite")
     base = scale_m * d / (zeta * zeta)
     m = math.ceil(base * (math.log(base) + math.log(1.0 / delta)))
     b = scale_b * theta * zeta / (math.sqrt(d) * math.log(m * m / delta))

@@ -281,6 +281,8 @@ def check_progress_measure(
 
 def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
     """Run the full verification suite deterministically from a master seed."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     children = np.random.SeedSequence(seed).spawn(3)
     rng_pairs = np.random.default_rng(children[0])
     rng_moments = np.random.default_rng(children[1])

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import percband
-from percband import geometry, learner
+from percband import bench, geometry, learner
 from percband.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,9 +19,9 @@ from percband.bench import (
     run_trial,
     trial_seed,
 )
-from percband.cli import main, parse_noise, parse_sweep
+from percband.cli import build_config, build_parser, main, merge_settings, parse_noise, parse_sweep
 from percband.oracles import NoiseModel
-from percband.verify import CheckResult, run_suite
+from percband.verify import all_passed, run_suite
 
 from conftest import traced_peak_bytes
 
@@ -77,17 +77,24 @@ class TestRunSingle:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_verify_mode_dispatch(self, tmp_path):
+        # verify is no run_single mode: the CLI hands it to run_suite and write_verify_csv.
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ExperimentConfig(mode="verify")
         out = tmp_path / "verify.csv"
-        cfg = ExperimentConfig(mode="verify", master_seed=1, output_path=str(out))
-        results = run_single(cfg)
-        assert all(isinstance(r, CheckResult) for r in results)
+        code = main(["verify", "--seed", "1", "--samples", "20000", "--out", str(out)])
+        results = run_suite(1, n_samples=20_000)
+        assert code == (0 if all_passed(results) else 1)
         lines = out.read_text().splitlines()
         assert lines[0] == "check,passed,statistic,bound,margin,detail"
         assert len(lines) == len(results) + 1
 
-    def test_verify_mode_honours_sample_count(self):
-        cfg = ExperimentConfig(mode="verify", master_seed=4, samples=20_000)
-        assert run_single(cfg) == run_suite(4, n_samples=20_000)
+    def test_verify_mode_honours_sample_count(self, tmp_path):
+        out, expected = tmp_path / "verify.csv", tmp_path / "expected.csv"
+        assert main(["verify", "--seed", "4", "--samples", "20000", "--out", str(out)]) in (0, 1)
+        bench.write_verify_csv(str(expected), run_suite(4, n_samples=20_000))
+        assert out.read_bytes() == expected.read_bytes()
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            run_suite(4, n_samples=0)
 
     def test_init_mode_accounts_for_preamble(self):
         rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))
@@ -137,6 +144,25 @@ class TestSweep:
         assert config_for_value(cfg, "epsilon", 0.1).epsilon == 0.1
         with pytest.raises(ValueError):
             config_for_value(cfg, "gamma", 1)
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        assert len(run_single(small_config(jobs=64, trials=2))) == 2
+        assert workers == [2]
 
     def test_parallel_jobs_reproduce_serial_bytes(self, tmp_path):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -218,8 +244,15 @@ class TestCli:
         ([], {"trials": 2.5}),
         ([], {"timing": 1}),
         (["--max-draws", "nan"], None),
+        (["--jobs", "0"], None),
+        (["--out", os.path.join("no-such-dir", "run.csv")], None),
+        (["--out", "."], None),
+        (["--seed", "-1"], None),
+        (["--scale-m", "inf"], None),
+        (["--scale-b", "nan"], None),
     ])
-    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, config):
+    def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, config):
+        monkeypatch.chdir(tmp_path)
         if config is not None:
             cfg_file = tmp_path / "bad.json"
             cfg_file.write_text(json.dumps(config))
@@ -255,10 +288,32 @@ class TestCli:
                      "--max-draws", repr(active)]) == 0
 
     def test_bad_sweep_value_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--d", "5", "--trials", "1", "--sweep", "d=2.5"])
-        assert exc.value.code == 2
-        assert "invalid dimension" in capsys.readouterr().err
+        for spec in ("d=2.5", "d=inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--d", "5", "--trials", "1", "--sweep", spec])
+            assert exc.value.code == 2
+            assert "invalid dimension" in capsys.readouterr().err
+
+    def test_config_file_mode_init_runs_init(self, tmp_path):
+        out = tmp_path / "init.csv"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"mode": "init"}))
+        assert main(["run", "--config", str(cfg_file), "--d", "5", "--epsilon", "0.5",
+                     "--trials", "1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(",init," in r for r in rows)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("mode", ["bogus", "verify"])
+    def test_mode_outside_the_list_is_a_usage_error(self, tmp_path, capsys, command, mode):
+        cfg_file = tmp_path / "cfg.json"
+        base = {"d": 5, "trials": 1, "sweep": "epsilon=0.5"}
+        for file_values, flags in (({**base, "mode": mode}, []), (base, ["--mode", mode])):
+            cfg_file.write_text(json.dumps(file_values))
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg_file)] + flags)
+            assert exc.value.code == 2
+            assert "mode must be one of" in capsys.readouterr().err
 
     def test_config_file_float_field_takes_an_integer(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -271,6 +326,32 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--samples", "0"],
+        ["--out", os.path.join("no-such-dir", "verify.csv")],
+        ["--seed", "-1"],
+    ])
+    def test_bad_verify_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--samples", "2000"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_readme_cli_lines_parse_and_build(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line.split()[1:] for line in block.splitlines() if line.startswith("percband ")]
+        assert {argv[0] for argv in lines} == {"run", "sweep", "init-run", "verify"}
+        for argv in lines:
+            args = build_parser().parse_args(argv)
+            settings = merge_settings(args)
+            if args.command != "verify":
+                build_config(args.command, settings)
 
     def test_sweep_command(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
