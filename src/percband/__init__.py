@@ -35,7 +35,7 @@ from .learner import (
     modified_perceptron_step,
 )
 from .oracles import LabelingOracle, NoiseModel, adversarial_threshold
-from .passive import LabeledExampleSource, passive_mod_perceptron, passive_perceptron
+from .passive import LabeledExampleSource
 from .verify import CheckResult, run_suite
 
 __all__ = [
@@ -68,8 +68,6 @@ __all__ = [
     "mod_perceptron_params",
     "modified_perceptron_step",
     "normalize",
-    "passive_mod_perceptron",
-    "passive_perceptron",
     "rejection_sample_band",
     "run_suite",
     "sample_uniform_sphere",

@@ -27,11 +27,6 @@ import numpy as np
 MIN_DIMENSION = 3
 UNIT_NORM_ATOL = 1e-9
 
-# Switch from literal draw-and-discard sampling to the distributionally
-# equivalent geometric shortcut once a band is thin enough that literal
-# sampling would need more than this many draws per accepted point.
-GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS = 200.0
-
 # A Gaussian whose part orthogonal to the band normal has a squared norm at
 # or below this is redrawn: its direction is numerically meaningless.
 MIN_ORTHOGONAL_SQ_NORM = 1e-24
@@ -99,7 +94,7 @@ class Band:
     upper: float
 
     def __post_init__(self):
-        check_unit(self.normal, "band normal")
+        object.__setattr__(self, "normal", check_unit(self.normal, "band normal"))
         if not (0.0 < self.lower < self.upper <= 1.0):
             raise ValueError(
                 f"band requires 0 < lower < upper <= 1, got [{self.lower}, {self.upper}]"
@@ -200,14 +195,10 @@ def _series_sum(d: int, z: float, start: int, stop: int) -> float:
     return head + t0 * float(powers.dot(_series_factors(d, stop)[start:]))
 
 
-def sample_band_margin(
-    d: int,
-    lower: float,
-    upper: float,
-    rng: np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray | float:
-    """Sample the margin coordinate from the band-restricted marginal density.
+def sample_margins(
+    d: int, lower: float, upper: float, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Sample n margin coordinates from the band-restricted marginal density.
 
     The density on [lower, upper] is proportional to (1 - z^2)^((d-3)/2),
     which is monotone decreasing there (0 <= lower), so rejection against
@@ -215,8 +206,6 @@ def sample_band_margin(
     """
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError(f"invalid interval [{lower}, {upper}]")
-    if n is None:
-        return _band_margin(d, lower, upper, rng)
     count = int(n)
     expo = (d - 3) / 2.0
     ceiling = (1.0 - lower * lower) ** expo
@@ -232,85 +221,37 @@ def sample_band_margin(
     return out
 
 
-def _band_margin(d: int, lower: float, upper: float, rng: np.random.Generator) -> float:
-    """One margin from the band-restricted marginal, drawing the same two
-    doubles per round as a one-element ``sample_band_margin`` batch."""
-    expo = (d - 3) / 2.0
-    ceiling = (1.0 - lower * lower) ** expo
-    while True:
-        z = lower + (upper - lower) * rng.random()
-        if rng.random() * ceiling <= (1.0 - z * z) ** expo:
-            return z
-
-
-def _orthogonal_unit(normal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector in the hyperplane orthogonal to ``normal``."""
-    while True:
-        g = rng.standard_normal(normal.shape[0])
-        g -= g.dot(normal) * normal
-        sq_norm = g.dot(g)
-        if sq_norm > MIN_ORTHOGONAL_SQ_NORM:
-            return g / math.sqrt(sq_norm)
-
-
 def rejection_sample_band(
     band: Band,
     rng: np.random.Generator,
     draw_budget: int,
-    method: str = "auto",
     mass: float | None = None,
 ) -> tuple[np.ndarray, int]:
     """Draw one point uniform on ``band``; also return the unlabeled draws used.
 
-    ``draws_used`` counts every unlabeled draw including the accepted one.
+    The literal process: draw uniform sphere points and discard them until
+    one lands in the band. The draws go in chunks; ``draws_used`` is the
+    count of the sequential process, up to and including the first hit. The
+    learner takes the same law of (point, draws) from :func:`draw_band_tape`,
+    and the tests compare the two.
 
-    Two interchangeable implementations:
-
-    * ``"literal"``: draw uniform sphere points and discard until one lands
-      in the band (vectorized in chunks; the count is that of the sequential
-      process, i.e. up to and including the first hit).
-    * ``"geometric"``: draw the count from the exact Geometric(p) law with
-      p = band_mass, then sample the accepted point directly from the band's
-      conditional distribution (margin from the restricted marginal, the rest
-      uniform on the orthogonal sphere). The joint law of (point, draws_used)
-      is identical to the literal sampler's; only the cost differs.
-
-    ``"auto"`` picks geometric once the expected draws per accepted point
-    exceed GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS.
-
-    ``mass`` skips the :func:`band_mass` call for callers that sample the
-    same band geometry repeatedly.
+    ``mass`` (the band's :func:`band_mass`, which sizes the chunks) skips
+    that call for callers that sample the same band geometry repeatedly.
     """
     if draw_budget < 1:
         raise ValueError("draw_budget must be >= 1")
+    d = band.dimension
     if mass is None:
-        mass = band_mass(band.dimension, band.lower, band.upper)
+        mass = band_mass(d, band.lower, band.upper)
     if mass <= 0.0:
         raise ValueError("band has zero mass")
-    if method == "auto":
-        method = "geometric" if 1.0 / mass > GEOMETRIC_SAMPLER_MIN_EXPECTED_DRAWS else "literal"
-    samplers = {"geometric": _sample_band_geometric, "literal": _sample_band_literal}
-    if method not in samplers:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return samplers[method](band.normal, band.lower, band.upper, mass, rng, draw_budget)
-
-
-def _sample_band_literal(
-    normal: np.ndarray,
-    lower: float,
-    upper: float,
-    mass: float,
-    rng: np.random.Generator,
-    draw_budget: int,
-) -> tuple[np.ndarray, int]:
-    d = normal.shape[0]
     chunk = min(max(16, math.ceil(4.0 / mass)), chunk_rows(d))
     used = 0
     while used < draw_budget:
         take = min(chunk, draw_budget - used)
         pts = sample_uniform_sphere(d, rng, n=take)
-        dots = pts @ normal
-        hits = np.flatnonzero((dots >= lower) & (dots <= upper))
+        dots = pts @ band.normal
+        hits = np.flatnonzero((dots >= band.lower) & (dots <= band.upper))
         if hits.size:
             first = int(hits[0])
             return pts[first], used + first + 1
@@ -320,32 +261,13 @@ def _sample_band_literal(
     )
 
 
-def _sample_band_geometric(
-    normal: np.ndarray,
-    lower: float,
-    upper: float,
-    mass: float,
-    rng: np.random.Generator,
-    draw_budget: int,
-) -> tuple[np.ndarray, int]:
-    draws = int(rng.geometric(mass))
-    if draws > draw_budget:
-        raise DrawBudgetExceeded(
-            f"no point accepted within {draw_budget} draws", draws_used=draw_budget
-        )
-    xi = _band_margin(normal.shape[0], lower, upper, rng)
-    perp = _orthogonal_unit(normal, rng)
-    point = xi * normal + math.sqrt(max(0.0, 1.0 - xi * xi)) * perp
-    return point / math.sqrt(point.dot(point)), draws
-
-
 class BandTape(NamedTuple):
     """The randomness of n band samples around a normal not yet fixed.
 
     Point i is ``margins[i] * w + sqrt(1 - margins[i]^2) * v`` with v the
     unit part of ``gauss[i]`` orthogonal to the normal w, and it costs
-    ``draws[i]`` unlabeled draws; this is the geometric sampler's law for
-    whichever unit normal w the point is built around.
+    ``draws[i]`` unlabeled draws. Around any unit normal w, (point, draws)
+    has the law of :func:`rejection_sample_band` on the band.
     """
 
     draws: np.ndarray  # (n,) int: Geometric(mass) draw counts
@@ -360,7 +282,7 @@ def draw_band_tape(
     """Draw n band samples' randomness in bulk from ``rng``, in this order: the
     draw counts, the margins, the Gaussians."""
     draws = rng.geometric(mass, size=n)
-    margins = sample_band_margin(d, lower, upper, rng, n=n)
+    margins = sample_margins(d, lower, upper, rng, n=n)
     gauss = rng.standard_normal((n, d))
     return BandTape(draws, margins, gauss, np.einsum("ij,ij->i", gauss, gauss))
 

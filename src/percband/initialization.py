@@ -41,7 +41,6 @@ class InitConfig:
 
     model: NoiseModel
     delta: float
-    test_samples: int | None = None
     scale_m: float = DEFAULT_SCALE_M
     scale_b: float = DEFAULT_SCALE_B
 
@@ -128,11 +127,7 @@ def acute_initialize(
             total_unlabeled=draws,
         )
 
-    n_test = (
-        config.test_samples
-        if config.test_samples is not None
-        else hypothesis_test_size(config.model, config.delta)
-    )
+    n_test = hypothesis_test_size(config.model, config.delta)
     try:
         points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
     except geometry.DrawBudgetExceeded as exc:

@@ -192,7 +192,7 @@ def _progress_chunks(
     for start in range(0, n_steps, rows):
         count = min(rows, n_steps - start)
         theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=count)
-        xi = geometry.sample_band_margin(d, b / 2.0, b, rng, n=count)
+        xi = geometry.sample_margins(d, b / 2.0, b, rng, n=count)
         g = rng.standard_normal(out=buf[:count])
         t = g[:, 0] / np.sqrt(np.einsum("ij,ij->i", g, g))
         u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from percband import geometry
 
 
 @pytest.fixture
@@ -30,3 +33,22 @@ def traced_peak_bytes(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def tape_point(w, xi, g, gg, rng):
+    """The point of one ``geometry.BandTape`` row (margin xi, Gaussian g with
+    g . g = gg) around the unit normal w, built as ``learner._run_tape``
+    builds it: xi w plus sqrt(1 - xi^2) times the unit part of g orthogonal
+    to w, with g redrawn from rng while that part is degenerate."""
+    gw = float(g.dot(w))
+    while gg - gw * gw <= geometry.MIN_ORTHOGONAL_SQ_NORM:
+        g = rng.standard_normal(w.shape[0])
+        gg, gw = float(g.dot(g)), float(g.dot(w))
+    scale = math.sqrt(1.0 - xi * xi) / math.sqrt(gg - gw * gw)
+    return (xi - scale * gw) * w + scale * g
+
+
+def tape_points(tape, w, rng):
+    """Every row of ``tape`` as a point around the fixed unit normal w."""
+    return np.array([tape_point(w, xi, g, gg, rng)
+                     for xi, g, gg in zip(tape.margins, tape.gauss, tape.sq_norms)])

@@ -26,6 +26,13 @@ from percband.verify import all_passed, run_suite
 from conftest import traced_peak_bytes
 
 
+def readme_block(heading, fence):
+    """The first ``fence`` code block under ``heading`` in the README."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read().split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
 def small_config(**kw):
     base = dict(
         mode="active",
@@ -342,9 +349,7 @@ class TestCli:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
     def test_readme_cli_lines_parse_and_build(self):
-        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        block = readme_block("## CLI", "```sh")
         lines = [line.split()[1:] for line in block.splitlines() if line.startswith("percband ")]
         assert {argv[0] for argv in lines} == {"run", "sweep", "init-run", "verify"}
         for argv in lines:
@@ -352,6 +357,11 @@ class TestCli:
             settings = merge_settings(args)
             if args.command != "verify":
                 build_config(args.command, settings)
+
+    def test_readme_library_quick_start_runs(self, capsys):
+        exec(readme_block("## Library quick start", "```python"), {})
+        labels, draws, final_angle = capsys.readouterr().out.split()
+        assert 0 < int(labels) <= int(draws) and 0.0 <= float(final_angle) <= math.pi
 
     def test_sweep_command(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -29,7 +29,7 @@ from percband.learner import (
 )
 from percband.oracles import LabelingOracle, NoiseModel, labels_from_dots
 
-from conftest import planted_pair
+from conftest import planted_pair, tape_point
 
 D = 10
 MODELS = (
@@ -38,10 +38,11 @@ MODELS = (
     NoiseModel.bounded_margin(0.2, 0.1),
     NoiseModel.adversarial(0.05),
 )
-# Band widths on either side of the point where rejection_sample_band's
-# "auto" method switches samplers: at d=10 the band [b/2, b] needs 1/p ~ 54
-# draws per point for b=0.03 (literal) and ~330 for b=0.005 (geometric). The
-# engine takes the taped geometric path at both.
+# A wide and a thin band, named for the sampler that suits each: at d=10 the
+# band [b/2, b] needs 1/p ~ 54 draws per point for b=0.03, cheap for the
+# literal draw-and-discard loop, and ~330 for b=0.005, where only the
+# geometric law (a Geometric(p) count, then the point) is cheap. The engine
+# samples both from the tape.
 WIDTHS = {"literal": 0.03, "geometric": 0.005}
 # Rows per tape chunk in the replay test, so that an 80-step epoch spans
 # three chunks.
@@ -60,12 +61,7 @@ def reference_epoch(oracle, w0, m, b, rng, charge_rejected):
         for used, xi, g, gg in zip(*tape):
             draws += int(used)
             assert draws <= budget
-            gw = float(g.dot(w))
-            while gg - gw * gw <= geometry.MIN_ORTHOGONAL_SQ_NORM:
-                g = rng.standard_normal(d)
-                gg, gw = float(g.dot(g)), float(g.dot(w))
-            scale = math.sqrt(1.0 - xi * xi) / math.sqrt(gg - gw * gw)
-            x = (xi - scale * gw) * w + scale * g
+            x = tape_point(w, xi, g, gg, rng)
             assert b / 2.0 - 1e-12 <= float(x.dot(w)) <= b + 1e-12
             if charge_rejected:
                 oracle.charge_queries(int(used) - 1)
@@ -90,11 +86,11 @@ def assert_replays(oracle, rng, ref_oracle, ref_rng, got, want):
 
 
 @pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
-@pytest.mark.parametrize("sampler", sorted(WIDTHS))
+@pytest.mark.parametrize("width", sorted(WIDTHS))
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
-def test_engine_matches_reference_loop(monkeypatch, model, sampler, charge_rejected):
+def test_engine_matches_reference_loop(monkeypatch, model, width, charge_rejected):
     monkeypatch.setattr(learner, "TAPE_BYTES", 8 * D * REPLAY_ROWS)
-    b = WIDTHS[sampler]
+    b = WIDTHS[width]
     ref_oracle, w0, ref_rng = fresh(model, 3)
     oracle, _, rng = fresh(model, 3)
     want = reference_epoch(ref_oracle, w0, 80, b, ref_rng, charge_rejected)
@@ -138,8 +134,7 @@ def literal_epoch(oracle, w0, m, b, rng):
     p = band_mass(D, b / 2.0, b)
     w, draws = w0, 0
     for _ in range(m):
-        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9,
-                                        method="literal", mass=p)
+        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9, mass=p)
         draws += used
         w = modified_perceptron_step(w, x, oracle.query(x))
     return w, draws
@@ -189,16 +184,8 @@ def test_scalar_labels_match_labels_from_dots(model):
     assert oracle.rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_scalar_margin_matches_one_element_batch():
-    a, b = np.random.default_rng(8), np.random.default_rng(8)
-    for _ in range(200):
-        assert geometry.sample_band_margin(D, 0.01, 0.02, a) == \
-            geometry.sample_band_margin(D, 0.01, 0.02, b, n=1)[0]
-    assert a.bit_generator.state == b.bit_generator.state
-
-
-@pytest.mark.parametrize("sampler", sorted(WIDTHS))
-def test_validation_is_per_epoch_not_per_label(monkeypatch, sampler):
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
     oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 4)
     calls = []
     check_unit = geometry.check_unit
@@ -206,7 +193,7 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, sampler):
     counts = []
     for m in (10, 300):
         calls.clear()
-        mod_perceptron(oracle, w0, m, WIDTHS[sampler], rng)
+        mod_perceptron(oracle, w0, m, WIDTHS[width], rng)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
 

@@ -19,7 +19,7 @@ from percband.geometry import (
     sample_uniform_sphere,
 )
 
-from conftest import planted_pair, traced_peak_bytes
+from conftest import planted_pair, tape_points, traced_peak_bytes
 
 
 def band_mass_closed_form(d: int, lower: float, upper: float) -> float:
@@ -243,13 +243,25 @@ class TestRejectionSampleBand:
         gen = np.random.default_rng(seed)
         return Band(normal=sample_uniform_sphere(d, gen), lower=lower, upper=upper)
 
+    def tape(self, band, rng, n):
+        """n rows of the band's tape, as the learner draws them."""
+        mass = band_mass(band.dimension, band.lower, band.upper)
+        return geometry.draw_band_tape(band.dimension, band.lower, band.upper, mass, rng, n)
+
     def test_point_in_band(self, rng):
         band = self.make_band()
-        for method in ("literal", "geometric"):
-            x, draws = rejection_sample_band(band, rng, 10**7, method=method)
+        literal = rejection_sample_band(band, rng, 10**7)
+        tape = self.tape(band, rng, 1)
+        for x, draws in (literal, (tape_points(tape, band.normal, rng)[0], tape.draws[0])):
             assert draws >= 1
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-9
             assert band.lower <= float(x @ band.normal) <= band.upper
+
+    def test_list_normal_samples(self, rng):
+        band = Band(normal=[1.0, 0.0, 0.0], lower=0.1, upper=0.2)
+        assert band.dimension == 3 and band.normal.dtype == np.float64
+        x, draws = rejection_sample_band(band, rng, 10**7)
+        assert draws >= 1 and 0.1 <= x[0] <= 0.2
 
     def test_band_validation(self):
         with pytest.raises(ValueError):
@@ -259,10 +271,12 @@ class TestRejectionSampleBand:
 
     def test_budget_exceeded_carries_draws(self, rng):
         band = self.make_band(d=10, lower=0.3, upper=0.3001)
-        for method in ("literal", "geometric"):
-            with pytest.raises(DrawBudgetExceeded) as err:
-                rejection_sample_band(band, rng, 5, method=method)
-            assert err.value.draws_used == 5
+        with pytest.raises(DrawBudgetExceeded) as err:
+            rejection_sample_band(band, rng, 5)
+        assert err.value.draws_used == 5
+        # The tape's row needs more draws than the budget too, so the learner
+        # would stop there (its accounting is tested in test_engine).
+        assert self.tape(band, rng, 1).draws[0] > 5
 
     def test_hemisphere_mean_draws(self, rng):
         # A band covering essentially [0, 1] has mass 1/2: two draws per call.
@@ -281,17 +295,16 @@ class TestRejectionSampleBand:
         assert abs(draws.mean() - 20.0) <= 3.0 * se
 
     def test_methods_agree(self, rng):
-        # Literal and geometric samplers share the same (margin, draws) law.
+        # The literal loop and the learner's tape share the (margin, draws) law.
         band = self.make_band(d=6, lower=0.05, upper=0.15, seed=9)
         n = 4000
-        lit = [rejection_sample_band(band, rng, 10**6, method="literal") for _ in range(n)]
-        geo = [rejection_sample_band(band, rng, 10**6, method="geometric") for _ in range(n)]
+        lit = [rejection_sample_band(band, rng, 10**6) for _ in range(n)]
+        tape = self.tape(band, rng, n)
         lit_margins = np.array([float(x @ band.normal) for x, _ in lit])
-        geo_margins = np.array([float(x @ band.normal) for x, _ in geo])
-        assert stats.ks_2samp(lit_margins, geo_margins).pvalue > 0.01
+        tape_margins = tape_points(tape, band.normal, rng) @ band.normal
+        assert stats.ks_2samp(lit_margins, tape_margins).pvalue > 0.01
         lit_draws = np.array([k for _, k in lit])
-        geo_draws = np.array([k for _, k in geo])
-        assert stats.ks_2samp(lit_draws, geo_draws).pvalue > 0.01
+        assert stats.ks_2samp(lit_draws, tape.draws).pvalue > 0.01
 
     def test_total_draw_concentration(self, rng):
         band = self.make_band(d=3, lower=0.1, upper=0.2)
@@ -308,7 +321,7 @@ class TestRejectionSampleBand:
         mass = band_mass(d, lower, upper)
         rng = np.random.default_rng(0)
         (x, draws), peak = traced_peak_bytes(
-            lambda: rejection_sample_band(band, rng, 10**7, method="literal", mass=mass)
+            lambda: rejection_sample_band(band, rng, 10**7, mass=mass)
         )
         assert lower <= float(x @ band.normal) <= upper and draws >= 1
         assert peak < 8 * geometry.CHUNK_BYTES
@@ -369,15 +382,11 @@ class TestConditionalMomentOracle:
             conditional_moment_oracle(u, u, 0.0, 100, rng)  # theta = 0
 
     def test_matches_band_sampler_margins(self, rng):
-        # The direct slice construction and the literal band sampler induce
-        # the same law of u . x for points conditioned on a thin margin band.
+        # The tape's construction around the band normal and the literal band
+        # sampler induce the same law of u . x for points in a thin band.
         d = 6
         u, w = planted_pair(d, math.pi / 3, seed=11)
         band = Band(normal=w, lower=0.02, upper=0.05)
-        lit = np.array(
-            [float(rejection_sample_band(band, rng, 10**6, method="literal")[0] @ u) for _ in range(3000)]
-        )
-        geo = np.array(
-            [float(rejection_sample_band(band, rng, 10**6, method="geometric")[0] @ u) for _ in range(3000)]
-        )
-        assert stats.ks_2samp(lit, geo).pvalue > 0.01
+        lit = np.array([float(rejection_sample_band(band, rng, 10**6)[0] @ u) for _ in range(3000)])
+        tape = geometry.draw_band_tape(d, 0.02, 0.05, band_mass(d, 0.02, 0.05), rng, 3000)
+        assert stats.ks_2samp(lit, tape_points(tape, w, rng) @ u).pvalue > 0.01

@@ -81,17 +81,6 @@ class TestAcuteInitialize:
         assert oracle.queries == expected_labels
         assert result.test_size == 33
 
-    def test_test_samples_override(self):
-        model = NoiseModel.realizable()
-        ss = np.random.SeedSequence((8, 0))
-        r_plant, r_oracle, r_samp = [np.random.default_rng(s) for s in ss.spawn(3)]
-        target = geometry.sample_uniform_sphere(5, r_plant)
-        oracle = LabelingOracle(target, model, r_oracle)
-        result = acute_initialize(
-            oracle, 5, InitConfig(model=model, delta=0.1, test_samples=50), r_samp
-        )
-        assert result.test_size == 50
-
     def test_dimension_mismatch(self, rng):
         oracle = LabelingOracle(
             geometry.sample_uniform_sphere(5, rng), NoiseModel.realizable(), rng

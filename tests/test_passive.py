@@ -3,14 +3,10 @@ import pytest
 from scipy import stats
 
 from percband import geometry
-from percband.geometry import Band, sample_uniform_sphere
-from percband.learner import active_perceptron, make_schedule
+from percband.geometry import Band, DrawBudgetExceeded, sample_uniform_sphere
+from percband.learner import active_perceptron, make_schedule, mod_perceptron
 from percband.oracles import LabelingOracle, NoiseModel
-from percband.passive import (
-    LabeledExampleSource,
-    passive_mod_perceptron,
-    passive_perceptron,
-)
+from percband.passive import LabeledExampleSource
 
 
 def make_source(d=5, seed=0, model=None):
@@ -46,19 +42,28 @@ class TestLabeledExampleSource:
         ]
         assert stats.ks_2samp(passive_margins, active_margins).pvalue > 0.01
 
+    def test_exhausted_budget_is_charged(self, rng):
+        # A band this thin is missed by 5 draws; each one costs a label, as
+        # the engine charges the budget with charge_rejected.
+        source, _ = make_source(d=10)
+        band = Band(normal=sample_uniform_sphere(10, rng), lower=0.3, upper=0.3001)
+        with pytest.raises(DrawBudgetExceeded) as err:
+            source.draw_in_band(band, rng, 5)
+        assert err.value.draws_used == source.oracle.queries == 5
+
 
 class TestPassiveModPerceptron:
     def test_zero_iterations(self, rng):
         source, _ = make_source()
         w0 = sample_uniform_sphere(5, rng)
-        w, drawn = passive_mod_perceptron(source, w0, 0, 0.1, rng)
+        w, drawn, _ = mod_perceptron(source.oracle, w0, 0, 0.1, rng, charge_rejected=True)
         assert np.array_equal(w, w0) and drawn == 0
 
     def test_draws_at_least_m_and_counted(self, rng):
         source, _ = make_source(seed=5)
         w0 = sample_uniform_sphere(5, rng)
         m = 50
-        w, drawn = passive_mod_perceptron(source, w0, m, 0.05, rng)
+        w, drawn, _ = mod_perceptron(source.oracle, w0, m, 0.05, rng, charge_rejected=True)
         assert drawn >= m
         assert source.oracle.queries == drawn
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
@@ -78,9 +83,9 @@ def paired_runs(seed, d=10, eps=0.1, model=None):
         oracle_a, v0, eps, 0.1, sched, np.random.default_rng(seed + 2), target=target
     )
     oracle_p = LabelingOracle(target, model, np.random.default_rng(seed + 3))
-    passive = passive_perceptron(
-        LabeledExampleSource(oracle_p), v0, eps, 0.1, sched,
-        np.random.default_rng(seed + 4), target=target,
+    passive = active_perceptron(
+        oracle_p, v0, eps, 0.1, sched, np.random.default_rng(seed + 4), target=target,
+        charge_rejected=True,
     )
     return active, passive
 
@@ -131,9 +136,9 @@ class TestPassivePerceptron:
                     v0 = -v0
                 sched = make_schedule(10, eps, 0.1, model)
                 oracle = LabelingOracle(target, model, np.random.default_rng(2000 + seed))
-                report = passive_perceptron(
-                    LabeledExampleSource(oracle), v0, eps, 0.1, sched,
-                    np.random.default_rng(3000 + seed), target=target,
+                report = active_perceptron(
+                    oracle, v0, eps, 0.1, sched, np.random.default_rng(3000 + seed),
+                    target=target, charge_rejected=True,
                 )
                 draws.append(report.total_labels)
             medians.append(np.median(draws))
