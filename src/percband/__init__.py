@@ -18,7 +18,7 @@ from .geometry import (
     rejection_sample_band,
     sample_uniform_sphere,
 )
-from .initialization import InitConfig, InitResult, acute_initialize
+from .initialization import InitResult, acute_initialize
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
@@ -47,7 +47,6 @@ __all__ = [
     "DimensionMismatch",
     "DrawBudgetExceeded",
     "EpochTrace",
-    "InitConfig",
     "InitResult",
     "LabeledExampleSource",
     "LabelingOracle",

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry, verify
-from .initialization import InitConfig, acute_initialize, branch_schedule
+from .initialization import acute_initialize, branch_schedule
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
@@ -137,12 +137,6 @@ def _acute_start(target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return v0 if float(v0 @ target) >= 0.0 else -v0
 
 
-def _init_config(config: ExperimentConfig) -> InitConfig:
-    return InitConfig(
-        model=config.noise, delta=config.delta, scale_m=config.scale_m, scale_b=config.scale_b
-    )
-
-
 def _schedule(config: ExperimentConfig) -> Schedule:
     return make_schedule(
         config.d, config.epsilon, config.delta, config.noise,
@@ -155,7 +149,8 @@ def expected_draws_per_trial(config: ExperimentConfig) -> float:
     schedules alone; init mode adds its two branch runs."""
     draws = expected_draws(_schedule(config), config.d)
     if config.mode == "init":
-        draws += 2.0 * expected_draws(branch_schedule(config.d, _init_config(config)), config.d)
+        branch = branch_schedule(config.d, config.noise, config.delta, config.scale_m, config.scale_b)
+        draws += 2.0 * expected_draws(branch, config.d)
     return draws
 
 
@@ -179,15 +174,16 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     extra_draws = 0
     try:
         if config.mode == "init":
-            init = acute_initialize(oracle, config.d, _init_config(config), rng_sampler)
+            init = acute_initialize(
+                oracle, config.delta, rng_sampler, scale_m=config.scale_m, scale_b=config.scale_b
+            )
             extra_labels = init.total_labels
             extra_draws = init.total_unlabeled
             v0 = init.vector
         else:
             v0 = _acute_start(target, rng_plant)
         report = active_perceptron(
-            oracle, v0, config.epsilon, config.delta, schedule, rng_sampler,
-            target=target, charge_rejected=config.mode == "passive",
+            oracle, v0, schedule, rng_sampler, charge_rejected=config.mode == "passive"
         )
     except BudgetExhausted as exc:
         exc.charge(extra_labels, extra_draws)
@@ -196,7 +192,7 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     else:
         labels = report.total_labels + extra_labels
         draws = report.total_unlabeled + extra_draws
-        final, succeeded = report.final, bool(report.succeeded)
+        final, succeeded = report.final, report.succeeded
     elapsed = time.perf_counter() - start
 
     return TrialRow(
@@ -221,14 +217,12 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
 
 
 def _execute(config: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[TrialRow]:
-    """Run (value_index, trial_index) tasks, deterministically ordered output."""
+    """Run (value_index, trial_index) tasks; rows come back in task order."""
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(run_trial, config), *zip(*tasks)))
-    else:
-        rows = [run_trial(config, v, t) for v, t in tasks]
-    return sorted(rows, key=lambda r: (r.value_index, r.trial))
+            return list(pool.map(partial(run_trial, config), *zip(*tasks)))
+    return [run_trial(config, v, t) for v, t in tasks]
 
 
 def run_single(config: ExperimentConfig):
@@ -284,12 +278,11 @@ def run_sweep(
     if not values:
         raise ValueError("sweep values must be nonempty")
     rows: list[TrialRow] = []
-    for vi, value in enumerate(values):
-        sub = config_for_value(config, sweep_axis, value)
-        rows.extend(_execute(sub, [(vi, t) for t in range(config.trials)]))
     summaries = []
     for vi, value in enumerate(values):
-        group = [r for r in rows if r.value_index == vi]
+        sub = config_for_value(config, sweep_axis, value)
+        group = _execute(sub, [(vi, t) for t in range(config.trials)])
+        rows.extend(group)
         summaries.append(
             SweepSummary(
                 axis=sweep_axis,

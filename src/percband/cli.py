@@ -175,9 +175,9 @@ def build_config(command: str, settings: dict) -> ExperimentConfig:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an output path that is a directory or whose directory cannot take the file."""
+    """Refuse an empty output path, a directory, or one whose directory cannot take the file."""
     directory = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+    if not path or os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ValueError(f"--out {path!r} is not a file in a writable directory")
 
 
@@ -198,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = merge_settings(args)
-        if settings.get("out"):
+        if "out" in settings:
             _check_out(settings["out"])
         if args.command == "verify":
             # Inside the try: the suite refuses n_samples < 1 before it draws.
@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
     if args.command == "verify":
-        if settings.get("out"):
+        if "out" in settings:
             write_verify_csv(settings["out"], results)
         for r in results:
             print(r.line())

@@ -1,10 +1,12 @@
 """Acute initialization: produce a start vector within pi/4 of the target.
 
 The epoch learner assumes its start vector is at an acute angle to the
-target. That assumption is removed by running the learner twice, from the
-first basis vector and from its negation (one of the two is always acute),
-then picking the better of the two outputs by an empirical error test on
-labeled examples drawn from their disagreement region. Under bounded noise
+target. That assumption is removed by running the learner twice against the
+same oracle, from the first basis vector and from its negation (one of the
+two is always acute), then picking the better of the two outputs by an
+empirical error test on labeled examples drawn from their disagreement
+region. The procedure's inputs are the oracle, a confidence delta and a
+random generator; the dimension and noise model are the oracle's. Under bounded noise
 the branch target accuracy is (1 - 2 eta) / 16 and the test uses
 ceil(8 / (1 - 2 eta)^2 * ln(6 / delta)) examples; in the adversarial and
 realizable cases the factor (1 - 2 eta) is simply 1.
@@ -35,20 +37,6 @@ TEST_DRAW_BUDGET_FACTOR = 100.0
 _TEST_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class InitConfig:
-    """Knobs for the initialization procedure."""
-
-    model: NoiseModel
-    delta: float
-    scale_m: float = DEFAULT_SCALE_M
-    scale_b: float = DEFAULT_SCALE_B
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
 @dataclass(eq=False)
 class InitResult:
     """Chosen start vector plus full accounting of what it cost."""
@@ -69,44 +57,43 @@ def hypothesis_test_size(model: NoiseModel, delta: float) -> int:
     return math.ceil(8.0 / (zeta * zeta) * math.log(6.0 / delta))
 
 
-def _branch_targets(config: InitConfig) -> tuple[float, float]:
-    """Target error and failure budget of each branch run."""
-    return config.model.zeta / 16.0, config.delta / 3.0
-
-
-def branch_schedule(d: int, config: InitConfig) -> Schedule:
-    """The epoch schedule each of the two branch runs follows."""
-    eps_branch, delta_branch = _branch_targets(config)
-    return make_schedule(
-        d, eps_branch, delta_branch, config.model, scale_m=config.scale_m, scale_b=config.scale_b
-    )
+def branch_schedule(
+    d: int,
+    model: NoiseModel,
+    delta: float,
+    scale_m: float = DEFAULT_SCALE_M,
+    scale_b: float = DEFAULT_SCALE_B,
+) -> Schedule:
+    """The epoch schedule each of the two branch runs follows: target error
+    (1 - 2 eta) / 16 at failure budget delta / 3."""
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return make_schedule(d, model.zeta / 16.0, delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
 
 
 def acute_initialize(
     oracle: LabelingOracle,
-    d: int,
-    config: InitConfig,
+    delta: float,
     rng: np.random.Generator,
+    scale_m: float = DEFAULT_SCALE_M,
+    scale_b: float = DEFAULT_SCALE_B,
 ) -> InitResult:
     """Return a vector within pi/4 of the oracle's target with prob >= 1 - delta.
 
-    The returned vector is always one of the two branch outputs. If the two
-    branches land on (anti)parallel vectors the disagreement region is empty
-    up to measure zero and the positive branch is returned outright. A
+    The dimension and the noise model are the oracle's. The returned vector
+    is always one of the two branch outputs. If the two branches land on
+    (anti)parallel vectors the disagreement region is empty up to measure
+    zero and the positive branch is returned outright. A
     :class:`BudgetExhausted` carries the spend of the whole procedure.
     """
-    if d != oracle.dimension:
-        raise geometry.DimensionMismatch(
-            f"oracle dimension {oracle.dimension} does not match d={d}"
-        )
-    schedule = branch_schedule(d, config)
-    eps_branch, delta_branch = _branch_targets(config)
+    d, model = oracle.dimension, oracle.model
+    schedule = branch_schedule(d, model, delta, scale_m, scale_b)
     e1 = np.zeros(d)
     e1[0] = 1.0
 
-    run_pos = active_perceptron(oracle, e1, eps_branch, delta_branch, schedule, rng)
+    run_pos = active_perceptron(oracle, e1, schedule, rng)
     try:
-        run_neg = active_perceptron(oracle, -e1, eps_branch, delta_branch, schedule, rng)
+        run_neg = active_perceptron(oracle, -e1, schedule, rng)
     except BudgetExhausted as exc:
         exc.charge(run_pos.total_labels, run_pos.total_unlabeled)
         raise
@@ -127,7 +114,7 @@ def acute_initialize(
             total_unlabeled=draws,
         )
 
-    n_test = hypothesis_test_size(config.model, config.delta)
+    n_test = hypothesis_test_size(model, delta)
     try:
         points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
     except geometry.DrawBudgetExceeded as exc:

@@ -14,13 +14,17 @@ The theory-grade schedule constants make m_k astronomically large (the proof
 constants are (3200 pi)^3 and 1/(2 (600 pi)^2)); they are exposed here as
 THEORY_SCALE_M / THEORY_SCALE_B so the exact formulas remain reachable, while
 the defaults are desk-scale values with the same shape in d, zeta, k, delta.
+
+A run takes three inputs: a label oracle (which holds the hidden target and
+the noise model), an epoch schedule built by :func:`make_schedule` from
+epsilon, delta and the noise model, and a random generator for the band
+draws. Diagnostics and success are measured against the oracle's target.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +106,10 @@ def mod_perceptron_params(
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-epoch iteration counts m and band widths b, plus their knobs."""
+    """Per-epoch iteration counts m and band widths b for target error
+    epsilon, plus their knobs."""
 
+    epsilon: float
     epochs: int
     m: tuple[int, ...]
     b: tuple[float, ...]
@@ -112,6 +118,8 @@ class Schedule:
     noise_factor: float
 
     def __post_init__(self):
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.epochs < 1 or len(self.m) != self.epochs or len(self.b) != self.epochs:
             raise ValueError("schedule arrays must have one entry per epoch")
         if any(mk < 1 for mk in self.m):
@@ -154,6 +162,7 @@ def make_schedule(
         ms.append(mk)
         bs.append(bk)
     return Schedule(
+        epsilon=epsilon,
         epochs=k0,
         m=tuple(ms),
         b=tuple(bs),
@@ -165,7 +174,7 @@ def make_schedule(
 
 @dataclass(frozen=True)
 class EpochTrace:
-    """Accounting for one epoch; angles are diagnostics against the true target."""
+    """Accounting for one epoch; angles are diagnostics against the oracle's target."""
 
     epoch: int
     theta_before: float
@@ -176,22 +185,20 @@ class EpochTrace:
 
 @dataclass(eq=False)
 class RunReport:
-    """Outcome of a full multi-epoch run.
+    """Outcome of a full multi-epoch run; a pure function of its inputs.
 
-    ``succeeded`` is None when no true target was supplied for diagnostics.
-    ``wall_time`` is measured and therefore excluded from any determinism
-    comparison; all other fields are a pure function of seed and config.
+    ``succeeded`` is angle(final, target) <= pi * epsilon for the oracle's
+    target and the schedule's epsilon.
     """
 
     final: np.ndarray
     total_labels: int
     total_unlabeled: int
-    traces: list[EpochTrace] = field(default_factory=list)
-    succeeded: bool | None = None
-    wall_time: float = 0.0
+    traces: list[EpochTrace]
+    succeeded: bool
 
     def same_outcome(self, other: "RunReport") -> bool:
-        """Field-by-field equality ignoring wall_time."""
+        """Field-by-field equality (the final vectors compared exactly)."""
         return (
             np.array_equal(self.final, other.final)
             and self.total_labels == other.total_labels
@@ -318,33 +325,24 @@ def _run_tape(w, target, tape, coins, radius, steps, rng) -> np.ndarray:
 def active_perceptron(
     oracle: LabelingOracle,
     v0,
-    epsilon: float,
-    delta: float,
     schedule: Schedule,
     rng: np.random.Generator,
-    target=None,
     charge_rejected: bool = False,
 ) -> RunReport:
     """Full epoch loop: run the halving stage once per schedule entry.
 
     The acute-start assumption (angle(v0, target) <= pi/2) is the caller's
-    responsibility; see the initialization module for removing it. When
-    ``target`` is given, per-epoch angles are recorded and ``succeeded``
-    reflects angle(final, target) <= pi * epsilon. ``charge_rejected``
+    responsibility; see the initialization module for removing it. Per-epoch
+    angles are measured against ``oracle.target``, and ``succeeded`` is
+    angle(final, oracle.target) <= pi * schedule.epsilon. ``charge_rejected``
     selects the passive accounting of :func:`mod_perceptron`. A
     :class:`BudgetExhausted` raised by an epoch carries the whole run's spend.
     """
-    start = time.perf_counter()
     v = geometry.check_unit(v0, "v0")
-    if target is not None:
-        target = geometry.check_unit(target, "target")
-        geometry.check_same_dimension(v, target)
-    if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
-        raise ValueError("epsilon and delta must lie in (0, 1)")
-
+    target = oracle.target
     traces: list[EpochTrace] = []
     for k in range(1, schedule.epochs + 1):
-        theta_before = angle_or_nan(v, target)
+        theta_before = geometry.angle(v, target)
         try:
             v, labels, draws = mod_perceptron(
                 oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng,
@@ -357,23 +355,15 @@ def active_perceptron(
             EpochTrace(
                 epoch=k,
                 theta_before=theta_before,
-                theta_after=angle_or_nan(v, target),
+                theta_after=geometry.angle(v, target),
                 labels=labels,
                 unlabeled_draws=draws,
             )
         )
-    succeeded = None
-    if target is not None:
-        succeeded = bool(geometry.angle(v, target) <= math.pi * epsilon)
     return RunReport(
         final=v,
         total_labels=sum(t.labels for t in traces),
         total_unlabeled=sum(t.unlabeled_draws for t in traces),
         traces=traces,
-        succeeded=succeeded,
-        wall_time=time.perf_counter() - start,
+        succeeded=geometry.angle(v, target) <= math.pi * schedule.epsilon,
     )
-
-
-def angle_or_nan(v: np.ndarray, target: np.ndarray | None) -> float:
-    return geometry.angle(v, target) if target is not None else math.nan

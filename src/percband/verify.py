@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .learner import DEFAULT_SCALE_B, DEFAULT_SCALE_M, mod_perceptron_params
+from .learner import mod_perceptron_params
 from .oracles import NoiseModel, adversarial_threshold, labels_from_dots
 
 
@@ -227,29 +227,21 @@ def check_progress_measure(
     theta: float,
     n_steps: int,
     rng: np.random.Generator,
-    b: float | None = None,
-    delta: float = 0.1,
-    scale_m: float = DEFAULT_SCALE_M,
-    scale_b: float = DEFAULT_SCALE_B,
 ) -> list[CheckResult]:
     """Expected per-step progress is positive; each step obeys the coarse bound.
 
-    ``b`` defaults to the schedule's band width for angle bound theta, so the
-    coarse-bound threshold 16 c zeta theta^2 / (3 sqrt(d)) is evaluated at the
-    schedule's actual c = b sqrt(d) / (zeta theta), i.e. the threshold equals
-    16 b theta / 3.
+    The band width b is the default schedule's for angle bound theta at
+    failure budget 0.1, so the coarse-bound threshold
+    16 c zeta theta^2 / (3 sqrt(d)) is evaluated at the schedule's actual
+    c = b sqrt(d) / (zeta theta), i.e. the threshold equals 16 b theta / 3.
+    b <= theta / (2 sqrt(3) ln 10) < theta, as the coarse bound requires.
 
     The steps are those of :func:`simulate_progress_steps`, reduced chunk by
     chunk to a running sum, sum of squares and max |increment|.
     """
     if not (0.0 < theta <= 27.0 * math.pi / 50.0):
         raise ValueError(f"theta must lie in (0, 27 pi / 50], got {theta}")
-    if b is None:
-        _, b = mod_perceptron_params(
-            d, theta, delta, model.zeta, scale_m=scale_m, scale_b=scale_b
-        )
-    if b > theta:
-        raise ValueError("coarse bound requires b <= theta")
+    _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
     total = sq_total = worst = 0.0
     for deltas in _progress_chunks(model, d, theta, b, n_steps, rng):
         total += float(deltas.sum())

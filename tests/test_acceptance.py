@@ -15,7 +15,7 @@ from scipy import optimize, stats
 from percband import geometry
 from percband.bench import ExperimentConfig, run_single, run_sweep
 from percband.geometry import Band, rejection_sample_band, sample_uniform_sphere
-from percband.initialization import InitConfig, acute_initialize
+from percband.initialization import acute_initialize
 from percband.learner import modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel
 from percband.verify import all_passed, run_suite
@@ -194,7 +194,7 @@ def test_criterion_11_acute_initialization():
             else:
                 u = sample_uniform_sphere(d, r_plant)
             oracle = LabelingOracle(u, model, r_oracle)
-            res = acute_initialize(oracle, d, InitConfig(model=model, delta=0.1), r_samp)
+            res = acute_initialize(oracle, 0.1, r_samp)
             good += geometry.angle(res.vector, u) <= math.pi / 4
         outcomes[name] = good
     elapsed = time.perf_counter() - start

@@ -254,6 +254,8 @@ class TestCli:
         (["--jobs", "0"], None),
         (["--out", os.path.join("no-such-dir", "run.csv")], None),
         (["--out", "."], None),
+        (["--out", ""], None),
+        ([], {"out": ""}),
         (["--seed", "-1"], None),
         (["--scale-m", "inf"], None),
         (["--scale-b", "nan"], None),
@@ -337,6 +339,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["--samples", "0"],
         ["--out", os.path.join("no-such-dir", "verify.csv")],
+        ["--out", ""],
         ["--seed", "-1"],
     ])
     def test_bad_verify_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
@@ -357,6 +360,18 @@ class TestCli:
             settings = merge_settings(args)
             if args.command != "verify":
                 build_config(args.command, settings)
+
+    @pytest.mark.parametrize("argv", [["sweep", "--sweep", "epsilon=0.5"], ["init-run"]])
+    def test_empty_out_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--d", "5", "--trials", "1", "--out", ""])
+        assert exc.value.code == 2
+        assert "--out ''" in capsys.readouterr().err
+
+    def test_star_import_resolves_every_export(self):
+        namespace = {}
+        exec("from percband import *", namespace)
+        assert set(percband.__all__) <= set(namespace)
 
     def test_readme_library_quick_start_runs(self, capsys):
         exec(readme_block("## Library quick start", "```python"), {})

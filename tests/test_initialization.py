@@ -5,7 +5,6 @@ import pytest
 
 from percband import geometry
 from percband.initialization import (
-    InitConfig,
     acute_initialize,
     hypothesis_test_size,
     _sample_disagreement_region,
@@ -21,7 +20,7 @@ def init_trial(model, d=5, seed=0, delta=0.1, target=None):
     if target is None:
         target = geometry.sample_uniform_sphere(d, r_plant)
     oracle = LabelingOracle(target, model, r_oracle)
-    result = acute_initialize(oracle, d, InitConfig(model=model, delta=delta), r_samp)
+    result = acute_initialize(oracle, delta, r_samp)
     return result, target, oracle
 
 
@@ -81,12 +80,23 @@ class TestAcuteInitialize:
         assert oracle.queries == expected_labels
         assert result.test_size == 33
 
-    def test_dimension_mismatch(self, rng):
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
+    def test_delta_outside_unit_interval_refused(self, rng, delta):
         oracle = LabelingOracle(
             geometry.sample_uniform_sphere(5, rng), NoiseModel.realizable(), rng
         )
-        with pytest.raises(geometry.DimensionMismatch):
-            acute_initialize(oracle, 6, InitConfig(model=NoiseModel.realizable(), delta=0.1), rng)
+        with pytest.raises(ValueError, match="delta"):
+            acute_initialize(oracle, delta, rng)
+        assert oracle.queries == 0
+
+    def test_branch_runs_record_angles_and_success(self):
+        model = NoiseModel.bounded(0.2)
+        result, target, _ = init_trial(model, seed=6)
+        for run in (result.positive_run, result.negative_run):
+            assert all(math.isfinite(t.theta_before) and math.isfinite(t.theta_after)
+                       for t in run.traces)
+            assert type(run.succeeded) is bool
+            assert run.succeeded == (geometry.angle(run.final, target) <= math.pi * model.zeta / 16)
 
 
 class TestDisagreementRegionSampling:

@@ -133,7 +133,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             mod_perceptron_params(10, math.pi / 2, 0.1, 1.0, scale_m=-1.0)
         with pytest.raises(ValueError):
-            Schedule(epochs=2, m=(5,), b=(0.1, 0.2), scale_m=1, scale_b=1, noise_factor=1)
+            Schedule(epsilon=0.1, epochs=2, m=(5,), b=(0.1, 0.2), scale_m=1, scale_b=1, noise_factor=1)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_epsilon_outside_unit_interval_refused(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            Schedule(epsilon=epsilon, epochs=1, m=(5,), b=(0.1,), scale_m=1, scale_b=1, noise_factor=1)
+
+    def test_records_epsilon(self):
+        assert make_schedule(10, 0.05, 0.1, NoiseModel.realizable()).epsilon == 0.05
 
 
 def run_stage(model, seed, theta0=math.pi / 4, d=5, delta=0.1):
@@ -182,9 +190,7 @@ def build_run(seed, d=10, eps=0.05, model=None, delta=0.1):
         v0 = -v0
     oracle = LabelingOracle(u, model, np.random.default_rng(seed + 1))
     sched = make_schedule(d, eps, delta, model)
-    report = active_perceptron(
-        oracle, v0, eps, delta, sched, np.random.default_rng(seed + 2), target=u
-    )
+    report = active_perceptron(oracle, v0, sched, np.random.default_rng(seed + 2))
     return report, oracle, sched, u
 
 
@@ -221,14 +227,5 @@ class TestActivePerceptron:
     def test_succeeded_flag(self):
         report, _, _, u = build_run(5)
         expected = geometry.angle(report.final, u) <= math.pi * 0.05
+        assert type(report.succeeded) is bool
         assert report.succeeded == expected
-
-    def test_no_target_no_diagnostics(self, rng):
-        u = sample_uniform_sphere(5, rng)
-        oracle = LabelingOracle(u, NoiseModel.realizable(), np.random.default_rng(0))
-        sched = make_schedule(5, 0.5, 0.1, NoiseModel.realizable())
-        report = active_perceptron(
-            oracle, u, 0.5, 0.1, sched, np.random.default_rng(1)
-        )
-        assert report.succeeded is None
-        assert math.isnan(report.traces[0].theta_before)

@@ -79,13 +79,10 @@ def paired_runs(seed, d=10, eps=0.1, model=None):
     sched = make_schedule(d, eps, 0.1, model)
 
     oracle_a = LabelingOracle(target, model, np.random.default_rng(seed + 1))
-    active = active_perceptron(
-        oracle_a, v0, eps, 0.1, sched, np.random.default_rng(seed + 2), target=target
-    )
+    active = active_perceptron(oracle_a, v0, sched, np.random.default_rng(seed + 2))
     oracle_p = LabelingOracle(target, model, np.random.default_rng(seed + 3))
     passive = active_perceptron(
-        oracle_p, v0, eps, 0.1, sched, np.random.default_rng(seed + 4), target=target,
-        charge_rejected=True,
+        oracle_p, v0, sched, np.random.default_rng(seed + 4), charge_rejected=True
     )
     return active, passive
 
@@ -137,8 +134,7 @@ class TestPassivePerceptron:
                 sched = make_schedule(10, eps, 0.1, model)
                 oracle = LabelingOracle(target, model, np.random.default_rng(2000 + seed))
                 report = active_perceptron(
-                    oracle, v0, eps, 0.1, sched, np.random.default_rng(3000 + seed),
-                    target=target, charge_rejected=True,
+                    oracle, v0, sched, np.random.default_rng(3000 + seed), charge_rejected=True
                 )
                 draws.append(report.total_labels)
             medians.append(np.median(draws))
