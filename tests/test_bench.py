@@ -254,11 +254,11 @@ class TestCli:
         (["--jobs", "0"], None),
         (["--out", os.path.join("no-such-dir", "run.csv")], None),
         (["--out", "."], None),
-        (["--out", ""], None),
-        ([], {"out": ""}),
         (["--seed", "-1"], None),
         (["--scale-m", "inf"], None),
         (["--scale-b", "nan"], None),
+        (["--out", ""], None),
+        ([], {"out": ""}),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -339,8 +339,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["--samples", "0"],
         ["--out", os.path.join("no-such-dir", "verify.csv")],
-        ["--out", ""],
         ["--seed", "-1"],
+        ["--out", ""],
     ])
     def test_bad_verify_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
