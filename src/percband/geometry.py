@@ -27,10 +27,6 @@ import numpy as np
 MIN_DIMENSION = 3
 UNIT_NORM_ATOL = 1e-9
 
-# A Gaussian whose part orthogonal to the band normal has a squared norm at
-# or below this is redrawn: its direction is numerically meaningless.
-MIN_ORTHOGONAL_SQ_NORM = 1e-24
-
 # Bulk draws go in chunks of at most this many bytes of float64 rows: large
 # enough to amortize numpy's per-call cost, small enough to stay in cache
 # and to bound memory in any dimension.
@@ -264,27 +260,39 @@ def rejection_sample_band(
 class BandTape(NamedTuple):
     """The randomness of n band samples around a normal not yet fixed.
 
-    Point i is ``margins[i] * w + sqrt(1 - margins[i]^2) * v`` with v the
-    unit part of ``gauss[i]`` orthogonal to the normal w, and it costs
-    ``draws[i]`` unlabeled draws. Around any unit normal w, (point, draws)
-    has the law of :func:`rejection_sample_band` on the band.
+    Point i is ``margins[i] * w + sqrt(1 - margins[i]^2) * v`` with v uniform
+    on the unit sphere of w's orthogonal complement, and it costs
+    ``draws[i]`` unlabeled draws. ``tau1[i]`` and ``tau2[i]`` are v's
+    coordinates along two orthonormal directions of that complement, chosen
+    by whoever builds the point; v's other coordinates are never drawn.
+    Around any unit normal w, (point, draws) has the law of
+    :func:`rejection_sample_band` on the band.
     """
 
     draws: np.ndarray  # (n,) int: Geometric(mass) draw counts
     margins: np.ndarray  # (n,): w . x from the band-restricted marginal
-    gauss: np.ndarray  # (n, d): standard Gaussians for the orthogonal part
-    sq_norms: np.ndarray  # (n,): gauss[i] . gauss[i]
+    tau1: np.ndarray  # (n,): first coordinate of v
+    tau2: np.ndarray  # (n,): second coordinate of v
 
 
 def draw_band_tape(
     d: int, lower: float, upper: float, mass: float, rng: np.random.Generator, n: int
 ) -> BandTape:
     """Draw n band samples' randomness in bulk from ``rng``, in this order: the
-    draw counts, the margins, the Gaussians."""
+    draw counts, the margins, two Gaussians per sample, one chi-square with
+    d - 3 degrees of freedom per sample.
+
+    A uniform point on the unit sphere of R^(d-1) is a standard Gaussian
+    vector over its norm, so its first two coordinates are (g1, g2) over
+    sqrt(g1^2 + g2^2 + chi2_(d-3)); no row costs more than four scalars in
+    any dimension.
+    """
     draws = rng.geometric(mass, size=n)
     margins = sample_margins(d, lower, upper, rng, n=n)
-    gauss = rng.standard_normal((n, d))
-    return BandTape(draws, margins, gauss, np.einsum("ij,ij->i", gauss, gauss))
+    g = rng.standard_normal((2, n))
+    rest = 2.0 * rng.standard_gamma((d - 3) / 2.0, size=n)  # chi2_(d-3); 0 when d = 3
+    norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + rest)
+    return BandTape(draws, margins, g[0] / norm, g[1] / norm)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,27 @@ The learner runs in epochs. Epoch k assumes the current angle to the target
 is at most pi / 2^k and halves it with high probability by performing m_k
 reflection updates
 
-    w <- w - 2 * 1{y (w . x) < 0} (w . x) x        (then renormalized)
+    w <- w - 2 * 1{y (w . x) < 0} (w . x) x
 
 on points queried from the band {x : b_k / 2 <= w . x <= b_k}. The change of
 the progress measure cos(angle to any fixed unit u) per step is exactly
 -2 * 1{y (w . x) < 0} (w . x)(u . x), which the tests verify to 1e-9.
+
+An epoch runs as an exact chain on two scalars. Let t be the target and e
+the unit part of the epoch's start vector w0 orthogonal to t, so that
+w0 = a t + b e. Since w . x is the band margin xi > 0, an update fires iff
+the label is -1, and the label needs only t . x; a fired reflection moves
+(a, b) = (t . w, e . w) by -2 xi (t . x, e . x) and keeps |w| = 1. Both
+dot products are functions of (a, b), xi and two coordinates of the point's
+direction orthogonal to w (:func:`geometry.draw_band_tape`), so a label
+costs O(1) in any dimension. The chain is exact because the update's kernel
+is equivariant under rotations: those that fix t and w0 map the whole run to
+an equally likely one with the same (a, b) path, so (a, b) is a Markov
+chain and, given its path, the rest of w (norm c = sqrt(1 - a^2 - b^2)) has
+a direction uniform on the unit sphere of span(t, e)'s complement. The
+epoch ends by drawing that direction, which gives w the law it has under
+the literal loop of :func:`modified_perceptron_step` on the literal band
+sampler; ``tests/test_engine.py`` replays chains through that loop.
 
 The theory-grade schedule constants make m_k astronomically large (the proof
 constants are (3200 pi)^3 and 1/(2 (600 pi)^2)); they are exposed here as
@@ -43,9 +59,9 @@ DEFAULT_SCALE_B = 0.5
 # Per-epoch unlabeled-draw allowance: 50x the high-probability bound 2m/p.
 DRAW_BUDGET_FACTOR = 100.0
 
-# An epoch draws its randomness in chunks of at most this many bytes of
-# Gaussians, which bounds its memory in any dimension.
-TAPE_BYTES = geometry.CHUNK_BYTES
+# An epoch draws its randomness in chunks of at most this many steps; a
+# step's tape row is a few scalars in any dimension.
+TAPE_STEPS = 1 << 13
 
 
 def modified_perceptron_step(w, x, y: int) -> np.ndarray:
@@ -60,15 +76,10 @@ def modified_perceptron_step(w, x, y: int) -> np.ndarray:
     geometry.check_same_dimension(wv, xv)
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    return _reflect(wv, xv, y)
-
-
-def _reflect(w: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
-    """``modified_perceptron_step`` for trusted unit vectors and labels."""
-    margin = float(w.dot(x))
+    margin = float(wv.dot(xv))
     if y * margin >= 0.0:
-        return w
-    updated = w - 2.0 * margin * x
+        return wv
+    updated = wv - 2.0 * margin * xv
     return updated / math.sqrt(updated.dot(updated))
 
 
@@ -254,18 +265,21 @@ def mod_perceptron(
     ``charge_rejected`` (the passive learner, which draws labeled pairs) each
     draw rejected by the band costs a label too, so labels equal draws.
 
-    The epoch is taped: its randomness is drawn in bulk, in chunks of at most
-    TAPE_BYTES of Gaussians (a :class:`geometry.BandTape` from ``rng``, then
-    the label coins from the oracle's generator), and the loop over the tape
-    is a pure function of (w0, tape). Raises :class:`BudgetExhausted` once
-    the draws exceed ``draw_budget``.
+    The epoch runs as the two-scalar chain of the module docstring. Its
+    randomness is drawn in bulk, in chunks of at most TAPE_STEPS steps: a
+    :class:`geometry.BandTape` from ``rng``, then the label coins from the
+    oracle's generator. The chain over the tape is a pure function of
+    (t . w0, e . w0, tape); the returned w then takes its residual direction
+    from ``rng``. Raises :class:`BudgetExhausted`, with the iterate built the
+    same way, once the draws exceed ``draw_budget``.
     """
     w = geometry.check_unit(w0, "w0")
     if m < 0:
         raise ValueError(f"iteration count must be >= 0, got {m}")
     if not (0.0 < b <= 1.0):
         raise ValueError(f"band width must lie in (0, 1], got {b}")
-    geometry.check_same_dimension(w, oracle.target)
+    target = oracle.target
+    geometry.check_same_dimension(w, target)
     if m == 0:
         return w, 0, 0
     d = w.shape[0]
@@ -273,53 +287,90 @@ def mod_perceptron(
     p = geometry.band_mass(d, lower, b)
     if draw_budget is None:
         draw_budget = default_draw_budget(m, p)
-    rows = geometry.chunk_rows(d, TAPE_BYTES)
+    e, chain = _start_chain(target, w)
     done = draws = 0
     while done < m:
-        n = min(rows, m - done)
+        n = min(TAPE_STEPS, m - done)
         tape = geometry.draw_band_tape(d, lower, b, p, rng, n)
         coins, radius = oracle.flip_tape(n)
         spent = np.cumsum(tape.draws)
         steps = int(np.searchsorted(spent, draw_budget - draws, side="right"))
-        w = _run_tape(w, oracle.target, tape, coins, radius, steps, rng)
+        chain = _run_chain(chain, tape, coins, radius, steps)
         done += steps
         if steps < n:
             labels = draw_budget if charge_rejected else done
             oracle.charge_queries(labels)
             raise BudgetExhausted(
-                f"epoch draw budget {draw_budget} exhausted", draw_budget, labels, w
+                f"epoch draw budget {draw_budget} exhausted", draw_budget, labels,
+                _iterate(target, e, chain, rng),
             )
         draws += int(spent[-1])
     labels = draws if charge_rejected else m
     oracle.charge_queries(labels)
-    return w, labels, draws
+    return _iterate(target, e, chain, rng), labels, draws
 
 
-def _run_tape(w, target, tape, coins, radius, steps, rng) -> np.ndarray:
-    """The first ``steps`` iterations of a tape; returns the last iterate.
+def _start_chain(target, w0) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The direction e and the chain's start (t . w0, e . w0, 0).
 
-    The point of a step is x = xi w + s v, with v the unit part of the tape's
-    Gaussian g orthogonal to w and s = sqrt(1 - xi^2). Since w . x = xi > 0,
-    the update fires iff the label is -1. The label needs only t . x for the
-    target t, a scalar function of g . w, g . t and t . w; so a step that
-    does not fire costs one length-d dot product, and only a firing step
-    builds x and touches w.
+    e is the unit part of w0 orthogonal to the target t, or a coordinate
+    direction made orthogonal to t when w0 = +-t to rounding. The projection
+    is applied again, so e . t is zero to rounding even when the part of w0
+    orthogonal to t is tiny.
     """
-    tw = float(target.dot(w))
-    gauss = tape.gauss[:steps]
-    rows = zip(tape.margins[:steps].tolist(), gauss, tape.sq_norms[:steps].tolist(),
-               (gauss @ target).tolist(), coins[:steps].tolist())
-    for xi, g, gg, tg, coin in rows:
-        gw = float(g.dot(w))
-        while gg - gw * gw <= geometry.MIN_ORTHOGONAL_SQ_NORM:
-            g = rng.standard_normal(w.shape[0])
-            gg, tg, gw = float(g.dot(g)), float(g.dot(target)), float(g.dot(w))
-        scale = math.sqrt(1.0 - xi * xi) / math.sqrt(gg - gw * gw)
-        tx = xi * tw + scale * (tg - gw * tw)
+    a = float(target.dot(w0))
+    r = w0 - a * target
+    if r.dot(r) <= 1e-30:
+        r = np.zeros_like(target)
+        r[np.argmin(np.abs(target))] = 1.0
+    for _ in range(2):
+        r -= r.dot(target) * target
+    e = r / math.sqrt(r.dot(r))
+    b = float(e.dot(w0))
+    norm = math.hypot(a, b)
+    return e, (a / norm, b / norm, 0.0)
+
+
+def _run_chain(chain, tape, coins, radius, steps) -> tuple[float, float, float]:
+    """The first ``steps`` iterations of a tape on (a, b, c) = (t . w, e . w,
+    |rest of w|); returns the last state.
+
+    The point of a step is x = xi w + s v, with s = sqrt(1 - xi^2) and v
+    uniform on the unit sphere orthogonal to w, whose coordinates along
+    u1 = (t - a w) / pa and u2 = (c e - b z) / pa (pa = sqrt(1 - a^2), z the
+    direction of the rest of w) are the tape's (tau1, tau2). Then
+    t . x = xi a + s pa tau1 and e . x = xi b + s (c tau2 - a b tau1) / pa.
+    When pa = 0 (w = +-t), u1 = e and e . x = xi b + s tau1. A step that
+    does not fire costs a few float operations. c is recomputed from (a, b)
+    only at a fire, so it stays exactly 0 until the first one.
+    """
+    a, b, c = chain
+    pa = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
+    margins = tape.margins[:steps]
+    s = np.sqrt((1.0 - margins) * (1.0 + margins))
+    rows = zip(margins.tolist(), (s * tape.tau1[:steps]).tolist(),
+               (s * tape.tau2[:steps]).tolist(), coins[:steps].tolist())
+    for xi, st1, st2, coin in rows:
+        tx = xi * a + pa * st1
         if (tx >= 0.0) == (coin and abs(tx) <= radius):
-            w = _reflect(w, (xi - scale * gw) * w + scale * g, -1)
-            tw = float(target.dot(w))
-    return w
+            ex = xi * b + ((c * st2 - a * b * st1) / pa if pa > 0.0 else st1)
+            a -= 2.0 * xi * tx
+            b -= 2.0 * xi * ex
+            q = max(0.0, (1.0 - a) * (1.0 + a))
+            pa = math.sqrt(q)
+            c = math.sqrt(max(0.0, q - b * b))
+    return a, b, c
+
+
+def _iterate(target, e, chain, rng) -> np.ndarray:
+    """The iterate a t + b e + c z of a chain state, with z uniform on the
+    unit sphere orthogonal to t and e, drawn from ``rng``."""
+    a, b, c = chain
+    z = rng.standard_normal(target.shape[0])
+    for _ in range(2):
+        z -= z.dot(target) * target + z.dot(e) * e
+    w = a * target + b * e + (c / math.sqrt(z.dot(z))) * z
+    return w / math.sqrt(w.dot(w))
 
 
 def active_perceptron(

@@ -4,8 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from percband import geometry
-
 
 @pytest.fixture
 def rng():
@@ -35,20 +33,34 @@ def traced_peak_bytes(fn):
         tracemalloc.stop()
 
 
-def tape_point(w, xi, g, gg, rng):
-    """The point of one ``geometry.BandTape`` row (margin xi, Gaussian g with
-    g . g = gg) around the unit normal w, built as ``learner._run_tape``
-    builds it: xi w plus sqrt(1 - xi^2) times the unit part of g orthogonal
-    to w, with g redrawn from rng while that part is degenerate."""
-    gw = float(g.dot(w))
-    while gg - gw * gw <= geometry.MIN_ORTHOGONAL_SQ_NORM:
-        g = rng.standard_normal(w.shape[0])
-        gg, gw = float(g.dot(g)), float(g.dot(w))
-    scale = math.sqrt(1.0 - xi * xi) / math.sqrt(gg - gw * gw)
-    return (xi - scale * gw) * w + scale * g
+def unit_orthogonal(gen, d, *directions):
+    """A unit vector uniform on the sphere orthogonal to the orthonormal
+    ``directions``, drawn from gen (each projection is applied twice)."""
+    r = gen.standard_normal(d)
+    for _ in range(2):
+        for f in directions:
+            r -= r.dot(f) * f
+    return r / np.linalg.norm(r)
 
 
-def tape_points(tape, w, rng):
-    """Every row of ``tape`` as a point around the fixed unit normal w."""
-    return np.array([tape_point(w, xi, g, gg, rng)
-                     for xi, g, gg in zip(tape.margins, tape.gauss, tape.sq_norms)])
+def lift(w, xi, tau1, tau2, u1, u2, gen):
+    """The point of one ``geometry.BandTape`` row in R^d: xi w + sqrt(1 - xi^2) v,
+    where v has coordinates (tau1, tau2) along the orthonormal directions
+    u1, u2 orthogonal to the unit normal w, and its remaining part, of norm
+    sqrt(1 - tau1^2 - tau2^2), points in a direction orthogonal to all three
+    drawn uniformly from gen. In R^3 there is no remaining part."""
+    v = tau1 * u1 + tau2 * u2
+    if w.shape[0] > 3:
+        rho = math.sqrt(max(0.0, 1.0 - tau1 * tau1 - tau2 * tau2))
+        v = v + rho * unit_orthogonal(gen, w.shape[0], w, u1, u2)
+    return xi * w + math.sqrt(1.0 - xi * xi) * v
+
+
+def tape_points(tape, w, gen):
+    """Every row of ``tape`` as a point around the fixed unit normal w, along
+    one pair of directions orthogonal to w drawn from gen."""
+    d = w.shape[0]
+    u1 = unit_orthogonal(gen, d, w)
+    u2 = unit_orthogonal(gen, d, w, u1)
+    return np.array([lift(w, xi, t1, t2, u1, u2, gen)
+                     for xi, t1, t2 in zip(tape.margins, tape.tau1, tape.tau2)])

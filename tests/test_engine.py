@@ -1,12 +1,14 @@
-"""The taped epoch engine against the public, validated primitives.
+"""The two-coordinate epoch engine against the public, validated primitives.
 
 ``learner.mod_perceptron`` checks its inputs once per epoch, draws the
 epoch's randomness in bulk (a ``geometry.BandTape`` from the sampler's
 generator, the label coins from the oracle's) and runs the per-label loop as
-a pure function of (w0, tape). These tests replay the same tape step by step
-through ``modified_perceptron_step`` and ``LabelingOracle.query``, compare
-the engine's law with a loop over the literal draw-and-discard sampler, and
-pin the trial CSVs of the taped stream.
+a chain on (t . w, e . w), with t the target and e the unit part of the
+start vector orthogonal to t. These tests lift each tape row to a point in
+R^d, with the rest of its direction drawn from a separate generator, replay
+the epoch step by step through ``modified_perceptron_step`` and
+``LabelingOracle.query``, compare the engine's law with a loop over the
+literal draw-and-discard sampler, and pin the trial CSVs of the stream.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ from percband.learner import (
 )
 from percband.oracles import LabelingOracle, NoiseModel, labels_from_dots
 
-from conftest import planted_pair, tape_point
+from conftest import lift, planted_pair, traced_peak_bytes, unit_orthogonal
 
 D = 10
 MODELS = (
@@ -44,94 +46,119 @@ MODELS = (
 # geometric law (a Geometric(p) count, then the point) is cheap. The engine
 # samples both from the tape.
 WIDTHS = {"literal": 0.03, "geometric": 0.005}
-# Rows per tape chunk in the replay test, so that an 80-step epoch spans
+# Steps per tape chunk in the replay test, so that an 80-step epoch spans
 # three chunks.
-REPLAY_ROWS = 32
+REPLAY_STEPS = 32
+# Agreement required between the engine's (t . w, e . w) and the replay's.
+REPLAY_ATOL = 1e-9
 
 
-def reference_epoch(oracle, w0, m, b, rng, charge_rejected):
-    """One epoch replayed from its tape through the public, validated primitives."""
-    d = oracle.dimension
+def chain_frame(w, t, e, gen):
+    """The directions u1, u2 orthogonal to w along which the engine reads a
+    tape row's (tau1, tau2): u1 = (t - a w) / pa and u2 = (c e - b z) / pa,
+    with (a, b) = (t . w, e . w), pa = sqrt(1 - a^2) and c z the part of w
+    orthogonal to t and e. Where that part vanishes, z is drawn from gen;
+    where pa does, u1 = e and u2 = z."""
+    a, b = float(t @ w), float(e @ w)
+    rest = w - a * t - b * e
+    c = float(np.linalg.norm(rest))
+    z = rest / c if c > 1e-12 else unit_orthogonal(gen, w.shape[0], t, e)
+    pa = math.sqrt(max(0.0, 1.0 - a * a))
+    if pa < 1e-9:
+        return e, z
+    return (t - a * w) / pa, (c * e - b * z) / pa
+
+
+def reference_epoch(oracle, w0, e, m, b, rng, charge_rejected, lift_rng):
+    """One epoch replayed from its tape through the public, validated
+    primitives, each row lifted to R^d with the help of lift_rng; returns
+    ((t . w, e . w), labels, draws)."""
+    d, t = oracle.dimension, oracle.target
     p = band_mass(d, b / 2.0, b)
     budget = default_draw_budget(m, p)
-    rows = max(1, learner.TAPE_BYTES // (8 * d))
     w, draws, done = w0, 0, 0
     while done < m:
-        tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, min(rows, m - done))
-        for used, xi, g, gg in zip(*tape):
+        tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, min(learner.TAPE_STEPS, m - done))
+        for used, xi, tau1, tau2 in zip(*tape):
             draws += int(used)
             assert draws <= budget
-            x = tape_point(w, xi, g, gg, rng)
+            x = lift(w, xi, tau1, tau2, *chain_frame(w, t, e, lift_rng), lift_rng)
             assert b / 2.0 - 1e-12 <= float(x.dot(w)) <= b + 1e-12
             if charge_rejected:
                 oracle.charge_queries(int(used) - 1)
             w = modified_perceptron_step(w, x, oracle.query(x))
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
             done += 1
-    return w, draws if charge_rejected else m, draws
+    rng.standard_normal(d)  # the engine's draw of the rest of w's direction
+    return (float(t @ w), float(e @ w)), draws if charge_rejected else m, draws
 
 
-def fresh(model, seed):
-    u, w0 = planted_pair(D, 1.0, seed=seed)
+def fresh(model, seed, d=D):
+    u, w0 = planted_pair(d, 1.0, seed=seed)
     oracle = LabelingOracle(u, model, np.random.default_rng(seed + 1))
     return oracle, w0, np.random.default_rng(seed + 2)
 
 
-def assert_replays(oracle, rng, ref_oracle, ref_rng, got, want):
-    assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
-    assert oracle.queries == ref_oracle.queries == got[1]
+def replay(model, seed, w0, m, b, charge_rejected, d=D):
+    """Run one epoch on the engine and on the reference from the same seeds,
+    and check that they agree."""
+    ref_oracle, _, ref_rng = fresh(model, seed, d)
+    oracle, _, rng = fresh(model, seed, d)
+    t = oracle.target
+    e, _ = learner._start_chain(t, w0)
+    # e is any unit direction orthogonal to t whose plane with t holds w0.
+    assert abs(np.linalg.norm(e) - 1.0) <= 1e-12 and abs(float(e @ t)) <= 1e-12
+    assert np.linalg.norm(w0 - (t @ w0) * t - (e @ w0) * e) <= 1e-12
+    want = reference_epoch(ref_oracle, w0, e, m, b, ref_rng, charge_rejected,
+                           np.random.default_rng(seed + 3))
+    w, labels, draws = mod_perceptron(oracle, w0, m, b, rng, charge_rejected=charge_rejected)
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    assert (float(t @ w), float(e @ w)) == pytest.approx(want[0], abs=REPLAY_ATOL, rel=0.0)
+    assert (labels, draws) == want[1:]
+    assert oracle.queries == ref_oracle.queries == labels
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert oracle.rng.bit_generator.state == ref_oracle.rng.bit_generator.state
+    return w
 
 
 @pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
 @pytest.mark.parametrize("width", sorted(WIDTHS))
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
 def test_engine_matches_reference_loop(monkeypatch, model, width, charge_rejected):
-    monkeypatch.setattr(learner, "TAPE_BYTES", 8 * D * REPLAY_ROWS)
-    b = WIDTHS[width]
-    ref_oracle, w0, ref_rng = fresh(model, 3)
-    oracle, _, rng = fresh(model, 3)
-    want = reference_epoch(ref_oracle, w0, 80, b, ref_rng, charge_rejected)
-    got = mod_perceptron(oracle, w0, 80, b, rng, charge_rejected=charge_rejected)
-    assert_replays(oracle, rng, ref_oracle, ref_rng, got, want)
+    monkeypatch.setattr(learner, "TAPE_STEPS", REPLAY_STEPS)
+    _, w0, _ = fresh(model, 3)
+    replay(model, 3, w0, 80, WIDTHS[width], charge_rejected)
 
 
-class ZeroFirstTape:
-    """A generator whose first batch of Gaussians is all zero, so that no row
-    has a direction orthogonal to the iterate (without a redraw, building
-    the point would divide by zero)."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
-        self._first = True
-
-    def standard_normal(self, size):
-        g = self._rng.standard_normal(size)
-        if isinstance(size, tuple) and self._first:
-            self._first = False
-            return np.zeros_like(g)
-        return g
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+DEGENERATE_STARTS = {
+    "target": lambda t, gen: t,
+    "minus_target": lambda t, gen: -t,
+    "orthogonal": lambda t, gen: unit_orthogonal(gen, t.shape[0], t),
+    "d3": lambda t, gen: unit_orthogonal(gen, 3),
+}
 
 
-def test_degenerate_gaussians_are_redrawn():
-    model = NoiseModel.bounded(0.2)
-    ref_oracle, w0, _ = fresh(model, 9)
-    oracle, _, _ = fresh(model, 9)
-    ref_rng, rng = ZeroFirstTape(10), ZeroFirstTape(10)
-    want = reference_epoch(ref_oracle, w0, 20, 0.03, ref_rng, False)
-    got = mod_perceptron(oracle, w0, 20, 0.03, rng)
-    assert_replays(oracle, rng, ref_oracle, ref_rng, got, want)
+@pytest.mark.parametrize("start", sorted(DEGENERATE_STARTS))
+@pytest.mark.parametrize("model", MODELS[:2], ids=lambda m: m.kind)
+def test_degenerate_starts(model, start):
+    # Starts on the target (no direction e to read off w0), opposite it, at
+    # a right angle to it, and in the smallest dimension, where a point's
+    # direction orthogonal to w has no part beyond (tau1, tau2).
+    d = 3 if start == "d3" else D
+    target = fresh(model, 9, d)[0].target
+    w0 = DEGENERATE_STARTS[start](target, np.random.default_rng(10))
+    w = replay(model, 9, w0, 200, 0.03, False, d)
+    oracle, _, rng = fresh(model, 9, d)
+    for _ in range(3):
+        before = oracle.queries
+        w, labels, draws = mod_perceptron(oracle, w, 200, 0.03, rng, charge_rejected=True)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert labels == draws == oracle.queries - before
 
 
 def literal_epoch(oracle, w0, m, b, rng):
     """One epoch on the literal draw-and-discard sampler; returns (w, draws)."""
-    p = band_mass(D, b / 2.0, b)
+    p = band_mass(oracle.dimension, b / 2.0, b)
     w, draws = w0, 0
     for _ in range(m):
         x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9, mass=p)
@@ -157,6 +184,33 @@ def test_engine_law_matches_literal_sampler(model):
     assert stats.ks_2samp(taped[:, 1], literal[:, 1]).pvalue > 0.01
 
 
+# Band widths for the whole-vector law test, by dimension: about 13 and 9
+# draws per point, cheap for the literal loop.
+LAW_WIDTHS = {3: 0.3, 40: 0.1}
+
+
+@pytest.mark.parametrize("d", sorted(LAW_WIDTHS))
+def test_engine_law_of_the_whole_vector(d):
+    # The law of the epoch's end given (target, w0), so both stay fixed. The
+    # angle to the target reads only t . w; w . w0 reads e . w as well, and
+    # w . q, for a fixed q with a part orthogonal to t and w0, reads the rest
+    # of w, whose direction the engine draws at the end of the epoch.
+    model, m, b = NoiseModel.bounded(0.2), 40, LAW_WIDTHS[d]
+    u, w0 = planted_pair(d, 1.0, seed=0)
+    q = sample_uniform_sphere(d, np.random.default_rng(5))
+    chain, literal = [], []
+    for seed in range(200):
+        oracle = LabelingOracle(u, model, np.random.default_rng([seed, 1]))
+        w, _, _ = mod_perceptron(oracle, w0, m, b, np.random.default_rng([seed, 2]))
+        chain.append((geometry.angle(w, u), w @ w0, w @ q))
+        oracle = LabelingOracle(u, model, np.random.default_rng([seed, 3]))
+        w, _ = literal_epoch(oracle, w0, m, b, np.random.default_rng([seed, 4]))
+        literal.append((geometry.angle(w, u), w @ w0, w @ q))
+    chain, literal = np.array(chain), np.array(literal)
+    for column in range(3):
+        assert stats.ks_2samp(chain[:, column], literal[:, column]).pvalue > 0.01
+
+
 @pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
 def test_budget_exhaustion_reports_spend(charge_rejected):
     oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 6)
@@ -170,6 +224,24 @@ def test_budget_exhaustion_reports_spend(charge_rejected):
     assert exc.labels_used == oracle.queries
     assert exc.labels_used == budget if charge_rejected else 0 < exc.labels_used < 80
     assert abs(np.linalg.norm(exc.iterate) - 1.0) <= 1e-9
+
+
+# A generous bound on the bytes one step of a tape chunk holds: its arrays
+# and the Python lists the chain reads.
+STEP_BYTES = 256
+
+
+@pytest.mark.parametrize("m", [10, 10_000])
+def test_epoch_memory_is_linear_in_d_plus_one_chunk(m):
+    # At d = 100,000 a d-wide tape column would be 800 kB per step; the epoch
+    # holds a few d-vectors (w0, t, e, the band-mass series, the residual
+    # direction, w) and one chunk of at most TAPE_STEPS steps.
+    d = 100_000
+    oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 12, d)
+    (w, labels, _), peak = traced_peak_bytes(
+        lambda: mod_perceptron(oracle, w0, m, 1.0 / (10.0 * math.sqrt(d)), rng))
+    assert labels == m and abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    assert peak < 8 * (8 * d) + STEP_BYTES * learner.TAPE_STEPS
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
@@ -200,11 +272,12 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
 
 # sha256 of the concatenated CSVs of the twelve sweeps below. Any change to
 # the random stream of a trial changes it; a change made on purpose must say
-# so and record the new digest. Re-pinned when the epochs became taped: the
-# sampler's generator is now read a chunk at a time (draw counts, margins,
-# Gaussians) and the oracle's a chunk of label coins at a time, so every
-# trial's stream, and with it every row, changed once.
-GOLDEN_SWEEP_SHA256 = "05e6b7e4f883676946651f8cd464943e8adad374909adc064aaebc6d201dd3fb"
+# so and record the new digest. Re-pinned when epochs became two-coordinate
+# chains: a tape row now holds two Gaussians and a chi-square draw in place
+# of d Gaussians, and each epoch ends with one Gaussian d-vector for the rest
+# of the iterate, so every trial's stream, and with it every row, changed
+# once.
+GOLDEN_SWEEP_SHA256 = "acf18957866e39f1d19bbd1ef374f6e1870efc74ba1bdb08d45ceb351be7de06"
 
 
 def test_golden_sweep_digest(tmp_path):
@@ -232,25 +305,14 @@ def test_accounting_and_unit_iterates(d, model, b, charge_rejected, epochs, seed
     gen = np.random.default_rng(seed)
     oracle = LabelingOracle(sample_uniform_sphere(d, gen), model, np.random.default_rng(seed + 1))
     w = sample_uniform_sphere(d, gen)
-    # The iterate changes only where an update fires, through learner._reflect,
-    # so recording every reflection sees every step's iterate.
-    steps = []
-    reflect = learner._reflect
-    learner._reflect = lambda *args: steps.append((args[0], reflect(*args))) or steps[-1][1]
-    try:
-        for m in epochs:
-            before = oracle.queries
-            fired = len(steps)
-            w_in = w
-            w, labels, draws = mod_perceptron(oracle, w, m, b, gen, charge_rejected=charge_rejected)
-            assert labels == oracle.queries - before
-            assert draws >= labels >= m
-            assert labels == (draws if charge_rejected else m)
-            for w_before, w_after in steps[fired:]:
-                assert w_before is w_in
-                assert math.isclose(np.linalg.norm(w_after), 1.0, abs_tol=1e-9)
-                w_in = w_after
-            assert w is w_in
-    finally:
-        learner._reflect = reflect
-    assert len(steps) <= sum(epochs)
+    # The chain's iterates exist as vectors only at the ends of epochs (and
+    # an epoch of m = 0 steps returns its start untouched).
+    for m in epochs:
+        before = oracle.queries
+        w_in = w
+        w, labels, draws = mod_perceptron(oracle, w, m, b, gen, charge_rejected=charge_rejected)
+        assert labels == oracle.queries - before
+        assert draws >= labels >= m
+        assert labels == (draws if charge_rejected else m)
+        assert w.shape == (d,) and math.isclose(np.linalg.norm(w), 1.0, abs_tol=1e-9)
+        assert (w is w_in) == (m == 0)
