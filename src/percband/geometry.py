@@ -101,9 +101,9 @@ class Band:
         return self.normal.shape[0]
 
 
-def chunk_rows(d: int, nbytes: int = CHUNK_BYTES) -> int:
-    """Rows of d float64 coordinates that fit in ``nbytes`` (at least one)."""
-    return max(1, nbytes // (8 * d))
+def chunk_rows(d: int) -> int:
+    """Rows of d float64 coordinates that fit in ``CHUNK_BYTES`` (at least one)."""
+    return max(1, CHUNK_BYTES // (8 * d))
 
 
 def gaussian_chunks(d: int, n: int, rng: np.random.Generator):
