@@ -24,7 +24,6 @@ from .learner import (
     DEFAULT_SCALE_M,
     THEORY_SCALE_B,
     THEORY_SCALE_M,
-    BudgetExhausted,
     EpochTrace,
     RunReport,
     Schedule,
@@ -40,7 +39,6 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "Band",
-    "BudgetExhausted",
     "CheckResult",
     "DEFAULT_SCALE_B",
     "DEFAULT_SCALE_M",

@@ -27,11 +27,9 @@ from .initialization import acute_initialize, branch_schedule
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
-    BudgetExhausted,
     RunReport,
     Schedule,
     active_perceptron,
-    expected_draws,
     make_schedule,
 )
 from .oracles import LabelingOracle, NoiseModel
@@ -97,8 +95,8 @@ class TrialRow:
     final_angle: float
     succeeded: bool
     wall_time_s: float
-    value_index: int = 0
-    report: RunReport | None = field(default=None, compare=False)  # None if the budget ran out
+    value_index: int
+    report: RunReport = field(compare=False)
 
     def csv_line(self) -> str:
         return ",".join(
@@ -144,22 +142,18 @@ def _schedule(config: ExperimentConfig) -> Schedule:
     )
 
 
-def expected_draws_per_trial(config: ExperimentConfig) -> float:
-    """Expected unlabeled draws of one trial (sum of m_k / p_k), from the
-    schedules alone; init mode adds its two branch runs."""
-    draws = expected_draws(_schedule(config), config.d)
+def steps_per_trial(config: ExperimentConfig) -> int:
+    """Perceptron steps of one trial (sum of m_k), from the schedules alone;
+    init mode adds its two branch runs."""
+    steps = sum(_schedule(config).m)
     if config.mode == "init":
         branch = branch_schedule(config.d, config.noise, config.delta, config.scale_m, config.scale_b)
-        draws += 2.0 * expected_draws(branch, config.d)
-    return draws
+        steps += 2 * sum(branch.m)
+    return steps
 
 
 def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> TrialRow:
-    """Execute one fully isolated trial and build its row.
-
-    A trial that exhausts an epoch's draw budget is a failed row: it reports
-    the labels and draws spent and the angle of the last iterate.
-    """
+    """Execute one fully isolated trial and build its row."""
     seed = trial_seed(config.master_seed, value_index, trial_index)
     plant_ss, oracle_ss, sampler_ss = np.random.SeedSequence(seed).spawn(3)
     rng_plant = np.random.default_rng(plant_ss)
@@ -170,29 +164,17 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     schedule = _schedule(config)
 
     start = time.perf_counter()
-    extra_labels = 0
-    extra_draws = 0
-    try:
-        if config.mode == "init":
-            init = acute_initialize(
-                oracle, config.delta, rng_sampler, scale_m=config.scale_m, scale_b=config.scale_b
-            )
-            extra_labels = init.total_labels
-            extra_draws = init.total_unlabeled
-            v0 = init.vector
-        else:
-            v0 = _acute_start(target, rng_plant)
-        report = active_perceptron(
-            oracle, v0, schedule, rng_sampler, charge_rejected=config.mode == "passive"
+    labels = draws = 0
+    if config.mode == "init":
+        init = acute_initialize(
+            oracle, config.delta, rng_sampler, scale_m=config.scale_m, scale_b=config.scale_b
         )
-    except BudgetExhausted as exc:
-        exc.charge(extra_labels, extra_draws)
-        report = None
-        labels, draws, final, succeeded = exc.labels_used, exc.draws_used, exc.iterate, False
+        labels, draws, v0 = init.total_labels, init.total_unlabeled, init.vector
     else:
-        labels = report.total_labels + extra_labels
-        draws = report.total_unlabeled + extra_draws
-        final, succeeded = report.final, report.succeeded
+        v0 = _acute_start(target, rng_plant)
+    report = active_perceptron(
+        oracle, v0, schedule, rng_sampler, charge_rejected=config.mode == "passive"
+    )
     elapsed = time.perf_counter() - start
 
     return TrialRow(
@@ -206,10 +188,10 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
         delta=config.delta,
         scale_m=config.scale_m,
         scale_b=config.scale_b,
-        labels=labels,
-        unlabeled_draws=draws,
-        final_angle=geometry.angle(final, target),
-        succeeded=succeeded,
+        labels=labels + report.total_labels,
+        unlabeled_draws=draws + report.total_unlabeled,
+        final_angle=geometry.angle(report.final, target),
+        succeeded=report.succeeded,
         wall_time_s=elapsed if config.measure_time else 0.0,
         value_index=value_index,
         report=report,

@@ -23,7 +23,6 @@ from . import geometry
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
-    BudgetExhausted,
     RunReport,
     Schedule,
     active_perceptron,
@@ -32,7 +31,6 @@ from .learner import (
 from .oracles import LabelingOracle, NoiseModel
 
 DEGENERATE_ANGLE = 1e-12
-TEST_DRAW_BUDGET_FACTOR = 100.0
 
 _TEST_CHUNK = 8192
 
@@ -83,8 +81,7 @@ def acute_initialize(
     The dimension and the noise model are the oracle's. The returned vector
     is always one of the two branch outputs. If the two branches land on
     (anti)parallel vectors the disagreement region is empty up to measure
-    zero and the positive branch is returned outright. A
-    :class:`BudgetExhausted` carries the spend of the whole procedure.
+    zero and the positive branch is returned outright.
     """
     d, model = oracle.dimension, oracle.model
     schedule = branch_schedule(d, model, delta, scale_m, scale_b)
@@ -92,11 +89,7 @@ def acute_initialize(
     e1[0] = 1.0
 
     run_pos = active_perceptron(oracle, e1, schedule, rng)
-    try:
-        run_neg = active_perceptron(oracle, -e1, schedule, rng)
-    except BudgetExhausted as exc:
-        exc.charge(run_pos.total_labels, run_pos.total_unlabeled)
-        raise
+    run_neg = active_perceptron(oracle, -e1, schedule, rng)
     v_pos, v_neg = run_pos.final, run_neg.final
     labels = run_pos.total_labels + run_neg.total_labels
     draws = run_pos.total_unlabeled + run_neg.total_unlabeled
@@ -115,10 +108,7 @@ def acute_initialize(
         )
 
     n_test = hypothesis_test_size(model, delta)
-    try:
-        points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
-    except geometry.DrawBudgetExceeded as exc:
-        raise BudgetExhausted(str(exc), draws + exc.draws_used, labels, v_pos) from exc
+    points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
     draws += test_draws
     ys = oracle.query_batch(points)
     labels += n_test
@@ -147,18 +137,11 @@ def _sample_disagreement_region(
 ) -> tuple[np.ndarray, int]:
     """Rejection-sample n sphere points where the two hypotheses disagree."""
     d = v_pos.shape[0]
-    mass = geometry.disagreement_mass(v_pos, v_neg)
-    budget = int(math.ceil(TEST_DRAW_BUDGET_FACTOR * n / mass))
     out = np.empty((n, d))
     filled = 0
     used = 0
+    take = min(_TEST_CHUNK, geometry.chunk_rows(d))
     while filled < n:
-        if used >= budget:
-            raise geometry.DrawBudgetExceeded(
-                f"disagreement-region sampling exhausted {budget} draws",
-                draws_used=budget,
-            )
-        take = min(_TEST_CHUNK, geometry.chunk_rows(d), budget - used)
         pts = geometry.sample_uniform_sphere(d, rng, n=take)
         hits = np.flatnonzero((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))[: n - filled]
         out[filled : filled + hits.size] = pts[hits]

@@ -56,9 +56,6 @@ THEORY_SCALE_B = 1.0 / (2.0 * (600.0 * math.pi) ** 2)
 DEFAULT_SCALE_M = 4.0
 DEFAULT_SCALE_B = 0.5
 
-# Per-epoch unlabeled-draw allowance: 50x the high-probability bound 2m/p.
-DRAW_BUDGET_FACTOR = 100.0
-
 # An epoch draws its randomness in chunks of at most this many steps; a
 # step's tape row is a few scalars in any dimension.
 TAPE_STEPS = 1 << 13
@@ -219,42 +216,12 @@ class RunReport:
         )
 
 
-def default_draw_budget(m: int, band_probability: float) -> int:
-    """Per-epoch draw allowance: DRAW_BUDGET_FACTOR * m / p."""
-    return int(math.ceil(DRAW_BUDGET_FACTOR * m / band_probability))
-
-
-def expected_draws(schedule: Schedule, d: int) -> float:
-    """Expected unlabeled draws of one run of ``schedule``: sum of m_k / p_k."""
-    return sum(m / geometry.band_mass(d, b / 2.0, b) for m, b in zip(schedule.m, schedule.b))
-
-
-class BudgetExhausted(geometry.DrawBudgetExceeded):
-    """A run stopped because an epoch exhausted its draw budget.
-
-    ``labels_used`` and ``draws_used`` count what the run spent up to the
-    failure, the failed epoch's whole budget included: each caller the
-    exception passes through adds its completed work with :meth:`charge`.
-    ``iterate`` is the last iterate.
-    """
-
-    def __init__(self, message: str, draws_used: int, labels_used: int, iterate: np.ndarray):
-        super().__init__(message, draws_used=draws_used)
-        self.labels_used = labels_used
-        self.iterate = iterate
-
-    def charge(self, labels: int, draws: int) -> None:
-        self.labels_used += labels
-        self.draws_used += draws
-
-
 def mod_perceptron(
     oracle: LabelingOracle,
     w0,
     m: int,
     b: float,
     rng: np.random.Generator,
-    draw_budget: int | None = None,
     charge_rejected: bool = False,
 ) -> tuple[np.ndarray, int, int]:
     """Run m band-query update iterations from w0; returns (w, labels, draws).
@@ -270,8 +237,8 @@ def mod_perceptron(
     :class:`geometry.BandTape` from ``rng``, then the label coins from the
     oracle's generator. The chain over the tape is a pure function of
     (t . w0, e . w0, tape); the returned w then takes its residual direction
-    from ``rng``. Raises :class:`BudgetExhausted`, with the iterate built the
-    same way, once the draws exceed ``draw_budget``.
+    from ``rng``. A step's draw count is one Geometric(p) number, so an
+    epoch costs O(m) whatever the band mass p.
     """
     w = geometry.check_unit(w0, "w0")
     if m < 0:
@@ -285,26 +252,13 @@ def mod_perceptron(
     d = w.shape[0]
     lower = b / 2.0
     p = geometry.band_mass(d, lower, b)
-    if draw_budget is None:
-        draw_budget = default_draw_budget(m, p)
     e, chain = _start_chain(target, w)
-    done = draws = 0
-    while done < m:
+    draws = 0
+    for done in range(0, m, TAPE_STEPS):
         n = min(TAPE_STEPS, m - done)
         tape = geometry.draw_band_tape(d, lower, b, p, rng, n)
-        coins, radius = oracle.flip_tape(n)
-        spent = np.cumsum(tape.draws)
-        steps = int(np.searchsorted(spent, draw_budget - draws, side="right"))
-        chain = _run_chain(chain, tape, coins, radius, steps)
-        done += steps
-        if steps < n:
-            labels = draw_budget if charge_rejected else done
-            oracle.charge_queries(labels)
-            raise BudgetExhausted(
-                f"epoch draw budget {draw_budget} exhausted", draw_budget, labels,
-                _iterate(target, e, chain, rng),
-            )
-        draws += int(spent[-1])
+        chain = _run_chain(chain, tape, *oracle.flip_tape(n))
+        draws += int(tape.draws.sum())
     labels = draws if charge_rejected else m
     oracle.charge_queries(labels)
     return _iterate(target, e, chain, rng), labels, draws
@@ -331,9 +285,9 @@ def _start_chain(target, w0) -> tuple[np.ndarray, tuple[float, float, float]]:
     return e, (a / norm, b / norm, 0.0)
 
 
-def _run_chain(chain, tape, coins, radius, steps) -> tuple[float, float, float]:
-    """The first ``steps`` iterations of a tape on (a, b, c) = (t . w, e . w,
-    |rest of w|); returns the last state.
+def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
+    """The iterations of a tape on (a, b, c) = (t . w, e . w, |rest of w|);
+    returns the last state.
 
     The point of a step is x = xi w + s v, with s = sqrt(1 - xi^2) and v
     uniform on the unit sphere orthogonal to w, whose coordinates along
@@ -346,10 +300,10 @@ def _run_chain(chain, tape, coins, radius, steps) -> tuple[float, float, float]:
     """
     a, b, c = chain
     pa = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
-    margins = tape.margins[:steps]
+    margins = tape.margins
     s = np.sqrt((1.0 - margins) * (1.0 + margins))
-    rows = zip(margins.tolist(), (s * tape.tau1[:steps]).tolist(),
-               (s * tape.tau2[:steps]).tolist(), coins[:steps].tolist())
+    rows = zip(margins.tolist(), (s * tape.tau1).tolist(), (s * tape.tau2).tolist(),
+               coins.tolist())
     for xi, st1, st2, coin in rows:
         tx = xi * a + pa * st1
         if (tx >= 0.0) == (coin and abs(tx) <= radius):
@@ -386,22 +340,16 @@ def active_perceptron(
     responsibility; see the initialization module for removing it. Per-epoch
     angles are measured against ``oracle.target``, and ``succeeded`` is
     angle(final, oracle.target) <= pi * schedule.epsilon. ``charge_rejected``
-    selects the passive accounting of :func:`mod_perceptron`. A
-    :class:`BudgetExhausted` raised by an epoch carries the whole run's spend.
+    selects the passive accounting of :func:`mod_perceptron`.
     """
     v = geometry.check_unit(v0, "v0")
     target = oracle.target
     traces: list[EpochTrace] = []
     for k in range(1, schedule.epochs + 1):
         theta_before = geometry.angle(v, target)
-        try:
-            v, labels, draws = mod_perceptron(
-                oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng,
-                charge_rejected=charge_rejected,
-            )
-        except BudgetExhausted as exc:
-            exc.charge(sum(t.labels for t in traces), sum(t.unlabeled_draws for t in traces))
-            raise
+        v, labels, draws = mod_perceptron(
+            oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng, charge_rejected=charge_rejected
+        )
         traces.append(
             EpochTrace(
                 epoch=k,

@@ -47,8 +47,8 @@ class LabeledExampleSource:
 
         Returns (x, y, pairs_drawn) where pairs_drawn includes the accepted
         pair and every rejected one. A :class:`geometry.DrawBudgetExceeded`
-        is raised after the whole budget is charged as labels, as the engine
-        charges it with ``charge_rejected``.
+        is raised after the whole budget is charged as labels, since every
+        drawn pair costs one.
         """
         try:
             x, pairs = geometry.rejection_sample_band(band, rng, draw_budget, mass=mass)

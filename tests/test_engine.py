@@ -23,12 +23,7 @@ from scipy import stats
 from percband import geometry, learner
 from percband.bench import ExperimentConfig, run_sweep
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
-from percband.learner import (
-    BudgetExhausted,
-    default_draw_budget,
-    mod_perceptron,
-    modified_perceptron_step,
-)
+from percband.learner import mod_perceptron, modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel, labels_from_dots
 
 from conftest import lift, planted_pair, traced_peak_bytes, unit_orthogonal
@@ -75,7 +70,7 @@ def reference_epoch(oracle, w0, e, m, b, rng, charge_rejected, lift_rng):
     ((t . w, e . w), labels, draws)."""
     d, t = oracle.dimension, oracle.target
     p = band_mass(d, b / 2.0, b)
-    budget = default_draw_budget(m, p)
+    budget = math.ceil(100 * m / p)
     w, draws, done = w0, 0, 0
     while done < m:
         tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, min(learner.TAPE_STEPS, m - done))
@@ -211,19 +206,19 @@ def test_engine_law_of_the_whole_vector(d):
         assert stats.ks_2samp(chain[:, column], literal[:, column]).pvalue > 0.01
 
 
-@pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
-def test_budget_exhaustion_reports_spend(charge_rejected):
-    oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 6)
-    p = band_mass(D, 0.015, 0.03)
-    budget = int(40 / p)  # about 40 of the 80 steps' expected draws
-    with pytest.raises(BudgetExhausted) as caught:
-        mod_perceptron(oracle, w0, 80, 0.03, rng, draw_budget=budget,
-                       charge_rejected=charge_rejected)
-    exc = caught.value
-    assert exc.draws_used == budget
-    assert exc.labels_used == oracle.queries
-    assert exc.labels_used == budget if charge_rejected else 0 < exc.labels_used < 80
-    assert abs(np.linalg.norm(exc.iterate) - 1.0) <= 1e-9
+def test_band_of_tiny_mass_costs_one_step_per_label():
+    # At d = 10 the band [b/2, b] with b = 1e-8 has mass about 6e-9, so an
+    # epoch of m steps draws about m/p ~ 3e12 points. Each step draws its
+    # count as one Geometric(p) number: the epoch costs m steps, and the
+    # total is a sum of m such numbers, within 5 standard deviations of m/p.
+    m, b = 20_000, 1e-8
+    oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 13)
+    p = band_mass(D, b / 2.0, b)
+    assert 1e-9 < p < 1e-8
+    w, labels, draws = mod_perceptron(oracle, w0, m, b, rng)
+    assert labels == oracle.queries == m
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    assert abs(draws - m / p) <= 5.0 * math.sqrt(m * (1.0 - p)) / p
 
 
 # A generous bound on the bytes one step of a tape chunk holds: its arrays

@@ -274,8 +274,8 @@ class TestRejectionSampleBand:
         with pytest.raises(DrawBudgetExceeded) as err:
             rejection_sample_band(band, rng, 5)
         assert err.value.draws_used == 5
-        # The tape's row needs more draws than the budget too, so the learner
-        # would stop there (its accounting is tested in test_engine).
+        # The tape's row needs more draws than the budget too: the engine
+        # has no budget and draws its count as one Geometric(p) number.
         assert self.tape(band, rng, 1).draws[0] > 5
 
     def test_hemisphere_mean_draws(self, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percband import geometry
-from percband.geometry import DimensionMismatch, DrawBudgetExceeded, sample_uniform_sphere
+from percband.geometry import DimensionMismatch, sample_uniform_sphere
 from percband.learner import (
     THEORY_SCALE_B,
     THEORY_SCALE_M,
@@ -173,12 +173,6 @@ class TestModPerceptron:
     def test_median_halving_bounded(self):
         angles = [run_stage(NoiseModel.bounded(0.2), s) for s in range(50)]
         assert np.median(angles) <= math.pi / 8
-
-    def test_budget_exhaustion_propagates(self, rng):
-        oracle = LabelingOracle(sample_uniform_sphere(10, rng), NoiseModel.realizable(), rng)
-        w0 = sample_uniform_sphere(10, rng)
-        with pytest.raises(DrawBudgetExceeded):
-            mod_perceptron(oracle, w0, 5, 1e-4, rng, draw_budget=3)
 
 
 def build_run(seed, d=10, eps=0.05, model=None, delta=0.1):
