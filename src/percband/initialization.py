@@ -10,6 +10,17 @@ random generator; the dimension and noise model are the oracle's. Under bounded 
 the branch target accuracy is (1 - 2 eta) / 16 and the test uses
 ceil(8 / (1 - 2 eta)^2 * ln(6 / delta)) examples; in the adversarial and
 realizable cases the factor (1 - 2 eta) is simply 1.
+
+The test examples are drawn by an exact reduction of the loop that draws
+uniform sphere points and discards those on which the two outputs agree.
+Only a point's projection onto span(v_pos, v_neg) decides disagreement, and
+a uniform point is a normalized Gaussian whose in-plane angle, in-plane
+radius (chi_2) and orthogonal part (N(0, I_{d-2})) are independent.
+Conditioning on disagreement therefore leaves the radius and the orthogonal
+part alone and makes the angle uniform on the two disagreement wedges, and
+the loop's misses before its n-th hit are NegativeBinomial(n, theta / pi),
+independent of the hits. So n test points cost O(n d) work at any angle
+theta between the outputs, not the loop's n pi / theta sphere draws.
 """
 
 from __future__ import annotations
@@ -31,8 +42,6 @@ from .learner import (
 from .oracles import LabelingOracle, NoiseModel
 
 DEGENERATE_ANGLE = 1e-12
-
-_TEST_CHUNK = 8192
 
 
 @dataclass(eq=False)
@@ -135,17 +144,35 @@ def _sample_disagreement_region(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Rejection-sample n sphere points where the two hypotheses disagree."""
+    """Draw n uniform sphere points on which the halfspaces of the unit
+    vectors v_pos and v_neg disagree, and the number of uniform draws the
+    discarding loop would have spent on them (see the module docstring).
+
+    In the orthonormal basis (v_pos, u2) of their span, v_neg is
+    (cos theta, sin theta), and the disagreement wedges are the in-plane
+    directions s (-sin(theta U), cos(theta U)) for U in [0, 1) and s = +-1.
+    Each point is a Gaussian d-vector whose in-plane part is replaced by its
+    own norm times such a direction, normalized. theta is read from v_neg's
+    part orthogonal to v_pos, where acos(v_pos . v_neg) would read 0 below
+    about 1e-8; it must not be 0.
+    """
     d = v_pos.shape[0]
-    out = np.empty((n, d))
-    filled = 0
-    used = 0
-    take = min(_TEST_CHUNK, geometry.chunk_rows(d))
-    while filled < n:
-        pts = geometry.sample_uniform_sphere(d, rng, n=take)
-        hits = np.flatnonzero((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))[: n - filled]
-        out[filled : filled + hits.size] = pts[hits]
-        filled += hits.size
-        # Count only draws up to and including the n-th accepted point.
-        used += take if filled < n else int(hits[-1]) + 1
+    cos_theta = float(v_pos @ v_neg)
+    perp = v_neg - cos_theta * v_pos
+    theta = math.atan2(math.sqrt(perp @ perp), cos_theta)
+    # At small theta the subtraction cancels and leaves perp a part along
+    # v_pos near 1e-16 / theta of its length, enough to put points on the
+    # wrong side of a wedge of width theta; a second pass removes it.
+    perp -= (perp @ v_pos) * v_pos
+    basis = np.stack([v_pos, perp / math.sqrt(perp @ perp)])
+    used = n + int(rng.negative_binomial(n, theta / math.pi))
+
+    out = rng.standard_normal((n, d))
+    plane = out @ basis.T
+    radius = np.hypot(plane[:, 0], plane[:, 1])
+    radius *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    phi = theta * rng.random(n)
+    wedge = np.column_stack([-np.sin(phi) * radius, np.cos(phi) * radius])
+    out += (wedge - plane) @ basis
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
     return out, used

@@ -271,8 +271,12 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
 # chains: a tape row now holds two Gaussians and a chi-square draw in place
 # of d Gaussians, and each epoch ends with one Gaussian d-vector for the rest
 # of the iterate, so every trial's stream, and with it every row, changed
-# once.
-GOLDEN_SWEEP_SHA256 = "acf18957866e39f1d19bbd1ef374f6e1870efc74ba1bdb08d45ceb351be7de06"
+# once. Re-pinned again when init's disagreement test began drawing its
+# points by the exact reduction (one Gaussian d-vector per point, an in-plane
+# angle and sign, and one negative binomial draw count) in place of the
+# draw-and-discard loop: the init rows changed once, the active and passive
+# rows did not.
+GOLDEN_SWEEP_SHA256 = "4c67c69354291cd094d7ac57a3180e5015f5bbab4548c388a73171e365e93abe"
 
 
 def test_golden_sweep_digest(tmp_path):

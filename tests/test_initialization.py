@@ -1,7 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from percband import geometry
 from percband.initialization import (
@@ -12,6 +16,41 @@ from percband.initialization import (
 from percband.oracles import LabelingOracle, NoiseModel
 
 from conftest import planted_pair, traced_peak_bytes
+
+
+# The draw-and-discard loop that _sample_disagreement_region reduces, kept
+# verbatim as the reference for its law.
+_TEST_CHUNK = 8192
+
+
+def literal_disagreement_region(v_pos, v_neg, n, rng):
+    """Rejection-sample n sphere points where the two hypotheses disagree."""
+    d = v_pos.shape[0]
+    out = np.empty((n, d))
+    filled = 0
+    used = 0
+    take = min(_TEST_CHUNK, geometry.chunk_rows(d))
+    while filled < n:
+        pts = geometry.sample_uniform_sphere(d, rng, n=take)
+        hits = np.flatnonzero((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))[: n - filled]
+        out[filled : filled + hits.size] = pts[hits]
+        filled += hits.size
+        # Count only draws up to and including the n-th accepted point.
+        used += take if filled < n else int(hits[-1]) + 1
+    return out, used
+
+
+def in_wedges(pts, v_pos, v_neg, theta, tol=1e-12):
+    """Whether each point's in-plane angle phi, in the orthonormal basis
+    (v_pos, u2) of span(v_pos, v_neg), lies in [pi/2, pi/2 + theta] or in the
+    opposite wedge, within tol radians."""
+    u2 = v_neg - (v_neg @ v_pos) * v_pos
+    u2 -= (u2 @ v_pos) * v_pos
+    u2 /= np.linalg.norm(u2)
+    phi = np.arctan2(pts @ u2, pts @ v_pos)
+    offset = np.mod(phi - math.pi / 2, math.pi)
+    offset = np.where(offset > math.pi - tol, offset - math.pi, offset)
+    return (offset >= -tol) & (offset <= theta + tol)
 
 
 def init_trial(model, d=5, seed=0, delta=0.1, target=None):
@@ -121,8 +160,8 @@ class TestDisagreementRegionSampling:
         assert 0.5 * expected <= used <= 2.0 * expected
 
     def test_memory_is_bounded_in_high_dimension(self, rng):
-        # d=2000: a chunk of 8192 rows would be 125 MiB; chunks are capped at
-        # CHUNK_BYTES of sphere points.
+        # d=2000: the 50 points are 0.8 MB, and the sampler holds a few
+        # arrays of that size, far below 8 CHUNK_BYTES.
         v_pos, v_neg = planted_pair(2000, math.pi / 2, seed=2)
         (pts, used), peak = traced_peak_bytes(
             lambda: _sample_disagreement_region(v_pos, v_neg, 50, rng)
@@ -130,3 +169,51 @@ class TestDisagreementRegionSampling:
         assert pts.shape == (50, 2000) and used >= 50
         assert np.all((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))
         assert peak < 8 * geometry.CHUNK_BYTES
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7])
+    def test_nearly_parallel_pair_is_cheap(self, theta):
+        # The discarding loop would draw about n pi / theta points, over
+        # 1e11 at theta = 1e-9; the reduction costs O(n d) at any angle, and
+        # theta is read from v_neg's part orthogonal to v_pos, where acos of
+        # the dot product would read 0.
+        d, n = 10, 33
+        v_pos, v_neg = planted_pair(d, theta, seed=3)
+        start = time.perf_counter()
+        pts, used = _sample_disagreement_region(v_pos, v_neg, n, np.random.default_rng(4))
+        assert time.perf_counter() - start < 1.0
+        p = theta / math.pi
+        mean, sd = n / p, math.sqrt(n * (1.0 - p)) / p
+        assert abs(used - mean) <= 6.0 * sd
+        assert np.all((pts @ v_pos >= 0.0) != (pts @ v_neg >= 0.0))
+
+    @pytest.mark.parametrize("d, theta", [(3, 0.3), (10, 0.05), (40, 1.2)])
+    def test_law_matches_literal_loop(self, d, theta):
+        # x . v_pos reads the in-plane angle and radius, x . q for a fixed q
+        # with a part orthogonal to the span reads the rest of the point.
+        v_pos, v_neg = planted_pair(d, theta, seed=d)
+        q = geometry.sample_uniform_sphere(d, np.random.default_rng(5))
+        reduced, literal = ([], [], []), ([], [], [])
+        for seed in range(1500):
+            for sampler, cols, stream in ((_sample_disagreement_region, reduced, 1),
+                                          (literal_disagreement_region, literal, 2)):
+                pts, used = sampler(v_pos, v_neg, 20, np.random.default_rng([seed, stream]))
+                cols[0].append(pts @ v_pos)
+                cols[1].append(pts @ q)
+                cols[2].append([used])
+        for a, b in zip(reduced, literal):
+            assert stats.ks_2samp(np.concatenate(a), np.concatenate(b)).pvalue > 0.01
+
+    @given(
+        d=st.integers(3, 300),
+        theta=st.floats(1e-9, math.pi - 1e-9),
+        n=st.integers(1, 200),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_output_invariants(self, d, theta, n, seed):
+        v_pos, v_neg = planted_pair(d, theta, seed=seed)
+        pts, used = _sample_disagreement_region(v_pos, v_neg, n, np.random.default_rng(seed))
+        assert pts.shape == (n, d)
+        assert np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-9)
+        assert used >= n
+        assert np.all(in_wedges(pts, v_pos, v_neg, theta))

@@ -19,8 +19,6 @@ from percband.learner import (
 )
 from percband.oracles import LabelingOracle, NoiseModel
 
-from conftest import planted_pair
-
 
 class TestModifiedPerceptronStep:
     def test_zero_margin_is_agreement(self):
