@@ -32,6 +32,10 @@ UNIT_NORM_ATOL = 1e-9
 # and to bound memory in any dimension.
 CHUNK_BYTES = 1 << 20
 
+# Points per chunk of the checks that draw a few scalars per point: with its
+# temporaries a point takes about eight float64 words.
+CHUNK_POINTS = CHUNK_BYTES // 64
+
 
 class DimensionMismatch(ValueError):
     """Operands live in different (or unsupported) ambient dimensions."""
@@ -106,16 +110,6 @@ def chunk_rows(d: int) -> int:
     return max(1, CHUNK_BYTES // (8 * d))
 
 
-def gaussian_chunks(d: int, n: int, rng: np.random.Generator):
-    """Yield the rows of ``rng.standard_normal((n, d))`` in order, as views of
-    one reused buffer of at most ``CHUNK_BYTES``. ``standard_normal`` fills
-    element by element, so the chunking does not change the stream."""
-    rows = chunk_rows(d)
-    buf = np.empty((min(rows, n), d))
-    for start in range(0, n, rows):
-        yield rng.standard_normal(out=buf[: min(rows, n - start)])
-
-
 def sample_uniform_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Draw uniformly from the unit sphere in R^d by normalizing Gaussians.
 
@@ -138,6 +132,16 @@ def angle(a, b) -> float:
     check_same_dimension(av, bv)
     dot = float(np.dot(av, bv))
     return math.acos(min(1.0, max(-1.0, dot)))
+
+
+def cos_sin(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Cosine and sine of the angle between the unit vectors a and b: a . b
+    and the norm of b's part orthogonal to a. Unlike acos(a . b), which reads
+    0 below about 1.5e-8, the sine keeps its relative precision at small
+    angles."""
+    cos = float(a @ b)
+    perp = b - cos * a
+    return cos, math.sqrt(perp @ perp)
 
 
 def disagreement_mass(a, b) -> float:
@@ -275,24 +279,27 @@ class BandTape(NamedTuple):
     tau2: np.ndarray  # (n,): second coordinate of v
 
 
+def sphere_coordinates(k: int, m: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The first m coordinates of n uniform points on the unit sphere of R^k,
+    as an (m, n) array. A uniform point is a standard Gaussian k-vector over
+    its norm, so they are m Gaussians over the root of their squares plus a
+    chi-square with k - m degrees of freedom, drawn in that order; no point
+    costs more than m + 1 scalars in any dimension."""
+    g = rng.standard_normal((m, n))
+    rest = 2.0 * rng.standard_gamma((k - m) / 2.0, size=n)  # chi2_(k-m); 0 when k = m
+    return g / np.sqrt((g * g).sum(axis=0) + rest)
+
+
 def draw_band_tape(
     d: int, lower: float, upper: float, mass: float, rng: np.random.Generator, n: int
 ) -> BandTape:
     """Draw n band samples' randomness in bulk from ``rng``, in this order: the
-    draw counts, the margins, two Gaussians per sample, one chi-square with
-    d - 3 degrees of freedom per sample.
-
-    A uniform point on the unit sphere of R^(d-1) is a standard Gaussian
-    vector over its norm, so its first two coordinates are (g1, g2) over
-    sqrt(g1^2 + g2^2 + chi2_(d-3)); no row costs more than four scalars in
-    any dimension.
-    """
+    draw counts, the margins, then v's first two coordinates on the unit
+    sphere of R^(d-1) (:func:`sphere_coordinates`)."""
     draws = rng.geometric(mass, size=n)
     margins = sample_margins(d, lower, upper, rng, n=n)
-    g = rng.standard_normal((2, n))
-    rest = 2.0 * rng.standard_gamma((d - 3) / 2.0, size=n)  # chi2_(d-3); 0 when d = 3
-    norm = np.sqrt(g[0] * g[0] + g[1] * g[1] + rest)
-    return BandTape(draws, margins, g[0] / norm, g[1] / norm)
+    tau = sphere_coordinates(d - 1, 2, rng, n)
+    return BandTape(draws, margins, tau[0], tau[1])
 
 
 @dataclass(frozen=True)
@@ -320,18 +327,19 @@ def conditional_moment_oracle(
     Conditioned on its margin xi along w, a uniform sphere point is
     xi * w + sqrt(1 - xi^2) * x_perp with x_perp uniform on the unit sphere of
     w's orthogonal complement, so u . x = xi cos(theta) + sqrt(1 - xi^2)
-    sin(theta) t with t the first-coordinate marginal of that sphere. The
-    preconditions mirror the regime in which the closed-form bounds on these
-    moments hold: theta in (0, 9 pi / 10] and 0 <= xi <= theta / (4 sqrt(d)).
+    sin(theta) t with t the first coordinate of a uniform point on the unit
+    sphere of R^(d-1) (:func:`sphere_coordinates`). The preconditions mirror
+    the regime in which the closed-form bounds on these moments hold:
+    theta in (0, 9 pi / 10] and 0 <= xi <= theta / (4 sqrt(d)).
 
-    The Gaussians behind x_perp are drawn and reduced ``CHUNK_BYTES`` at a
-    time (:func:`gaussian_chunks`); the estimates are sums of per-chunk sums.
+    t is drawn and reduced ``CHUNK_POINTS`` at a time.
     """
     uv = check_unit(u, "u")
     wv = check_unit(w, "w")
     check_same_dimension(uv, wv)
     d = uv.shape[0]
-    theta = angle(uv, wv)
+    cos_t, sin_t = cos_sin(uv, wv)
+    theta = math.atan2(sin_t, cos_t)
     if not (0.0 < theta <= 0.9 * math.pi):
         raise ValueError(f"angle between u and w must lie in (0, 9pi/10], got {theta}")
     if not (0.0 <= xi <= theta / (4.0 * math.sqrt(d))):
@@ -341,13 +349,12 @@ def conditional_moment_oracle(
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    cos_t = math.cos(theta)
-    scale = math.sqrt(max(0.0, 1.0 - xi * xi))
+    scale = math.sqrt(max(0.0, 1.0 - xi * xi)) * sin_t
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
-    for g in gaussian_chunks(d, n, rng):
-        g -= (g @ wv)[:, None] * wv
-        dots = xi * cos_t + scale * (g @ uv) / np.sqrt(np.einsum("ij,ij->i", g, g))
+    for start in range(0, n, CHUNK_POINTS):
+        t = sphere_coordinates(d - 1, 1, rng, min(CHUNK_POINTS, n - start))[0]
+        dots = xi * cos_t + scale * t
         neg = dots * (dots < 0.0)
         for i, vals in enumerate((dots, dots * dots, neg)):
             sums[i] += vals.sum()

@@ -103,8 +103,10 @@ def acute_initialize(
     labels = run_pos.total_labels + run_neg.total_labels
     draws = run_pos.total_unlabeled + run_neg.total_unlabeled
 
-    separation = geometry.angle(v_pos, v_neg)
-    if min(separation, math.pi - separation) < DEGENERATE_ANGLE:
+    # The sine of the separation, sin(min(theta, pi - theta)): acos of the
+    # dot product would read 0 below about 1.5e-8, far above DEGENERATE_ANGLE.
+    _, sin_separation = geometry.cos_sin(v_pos, v_neg)
+    if sin_separation < DEGENERATE_ANGLE:
         return InitResult(
             vector=v_pos,
             positive_run=run_pos,
@@ -152,14 +154,14 @@ def _sample_disagreement_region(
     (cos theta, sin theta), and the disagreement wedges are the in-plane
     directions s (-sin(theta U), cos(theta U)) for U in [0, 1) and s = +-1.
     Each point is a Gaussian d-vector whose in-plane part is replaced by its
-    own norm times such a direction, normalized. theta is read from v_neg's
-    part orthogonal to v_pos, where acos(v_pos . v_neg) would read 0 below
-    about 1e-8; it must not be 0.
+    own norm times such a direction, normalized. theta is read from
+    ``geometry.cos_sin``, where acos(v_pos . v_neg) would read 0 below about
+    1.5e-8; it must not be 0.
     """
     d = v_pos.shape[0]
-    cos_theta = float(v_pos @ v_neg)
+    cos_theta, sin_theta = geometry.cos_sin(v_pos, v_neg)
+    theta = math.atan2(sin_theta, cos_theta)
     perp = v_neg - cos_theta * v_pos
-    theta = math.atan2(math.sqrt(perp @ perp), cos_theta)
     # At small theta the subtraction cancels and leaves perp a part along
     # v_pos near 1e-16 / theta of its length, enough to put points on the
     # wrong side of a wedge of width theta; a second pass removes it.

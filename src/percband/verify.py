@@ -48,15 +48,21 @@ class CheckResult:
 def count_disagreements(a: np.ndarray, b: np.ndarray, n: int, rng: np.random.Generator) -> int:
     """Points among n uniform on the sphere where sign(a . x) != sign(b . x).
 
-    Draws the same Gaussians from ``rng``, in the same order, as
-    ``geometry.sample_uniform_sphere(d, rng, n=n)``, but tests the signs on
-    them unnormalized: a sign is invariant under positive scaling.
+    A uniform point is a Gaussian vector g over its norm, and a sign is
+    invariant under positive scaling. With (c, s) = ``geometry.cos_sin(a, b)``,
+    (g . a, g . b) has the law of (z0, c z0 + s z1) for independent standard
+    normals z0 and z1, so each point costs two normals in any dimension. They
+    are the rows of ``rng.standard_normal((n, 2))``, drawn
+    ``geometry.CHUNK_POINTS`` rows at a time into one reused buffer.
     """
-    normals = np.column_stack([a, b])
+    cos, sin = geometry.cos_sin(a, b)
+    rows = geometry.CHUNK_POINTS
+    buf = np.empty((min(rows, n), 2))
     count = 0
-    for g in geometry.gaussian_chunks(a.shape[0], n, rng):
-        signs = g @ normals >= 0.0
-        count += int(np.count_nonzero(signs[:, 0] != signs[:, 1]))
+    for start in range(0, n, rows):
+        z = rng.standard_normal(out=buf[: min(rows, n - start)])
+        signs_b = cos * z[:, 0] + sin * z[:, 1] >= 0.0
+        count += int(np.count_nonzero((z[:, 0] >= 0.0) != signs_b))
     return count
 
 
@@ -184,17 +190,14 @@ def _progress_chunks(
     model: NoiseModel, d: int, theta: float, b: float, n_steps: int, rng: np.random.Generator
 ):
     """Yield the increments of :func:`simulate_progress_steps` in chunks of
-    ``geometry.chunk_rows(d - 1)`` steps. Each chunk draws its angles, its
-    margins, its Gaussians (into one reused 1 MiB buffer), then its label coins."""
+    ``geometry.CHUNK_POINTS`` steps. Each chunk draws its angles, its margins,
+    its orthogonal-sphere coordinates, then its label coins."""
     tau = adversarial_threshold(d, model.nu) if model.kind == "adversarial" else None
-    rows = geometry.chunk_rows(d - 1)
-    buf = np.empty((min(rows, n_steps), d - 1))
-    for start in range(0, n_steps, rows):
-        count = min(rows, n_steps - start)
+    for start in range(0, n_steps, geometry.CHUNK_POINTS):
+        count = min(geometry.CHUNK_POINTS, n_steps - start)
         theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=count)
         xi = geometry.sample_margins(d, b / 2.0, b, rng, n=count)
-        g = rng.standard_normal(out=buf[:count])
-        t = g[:, 0] / np.sqrt(np.einsum("ij,ij->i", g, g))
+        t = geometry.sphere_coordinates(d - 1, 1, rng, count)[0]
         u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
         ys = labels_from_dots(model, u_dot_x, rng, tau)
         yield np.where(ys * xi < 0.0, -2.0 * xi * u_dot_x, 0.0)

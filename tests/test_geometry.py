@@ -99,6 +99,37 @@ class TestSampleUniformSphere:
         assert ks.pvalue > 0.01
 
 
+class TestSphereCoordinates:
+    @pytest.mark.parametrize("k", [2, 3, 9, 19])
+    def test_first_coordinate_matches_normalized_gaussians(self, k):
+        n = 20_000
+        t = geometry.sphere_coordinates(k, 1, np.random.default_rng([k, 1]), n)[0]
+        g = np.random.default_rng([k, 2]).standard_normal((n, k))
+        assert stats.ks_2samp(t, g[:, 0] / np.linalg.norm(g, axis=1)).pvalue > 0.01
+
+    @given(k=st.integers(2, 400), m=st.integers(1, 2), n=st.integers(1, 300), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_output_invariants(self, k, m, n, seed):
+        m = min(m, k)
+        coords = geometry.sphere_coordinates(k, m, np.random.default_rng(seed), n)
+        assert coords.shape == (m, n)
+        assert np.all(np.isfinite(coords))
+        assert np.all((coords * coords).sum(axis=0) <= 1.0 + 1e-12)
+
+
+class TestCosSin:
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-3, 1.0, math.pi / 2, 3.0])
+    def test_reads_planted_angle(self, theta):
+        cos, sin = geometry.cos_sin(*planted_pair(10, theta, seed=1))
+        assert cos == pytest.approx(math.cos(theta), rel=1e-12, abs=1e-15)
+        assert sin == pytest.approx(math.sin(theta), rel=1e-3, abs=1e-15)
+
+    def test_parallel_vectors(self):
+        v = sample_uniform_sphere(10, np.random.default_rng(2))
+        assert geometry.cos_sin(v, v)[1] < 1e-15
+        assert geometry.cos_sin(v, -v)[1] < 1e-15
+
+
 class TestAngle:
     def test_identity(self):
         assert angle([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 0.0
@@ -343,19 +374,18 @@ class TestConditionalMomentOracle:
             assert res.second_moment <= 5.0 * theta**2 / d + 3.0 * res.se_second
             assert res.negative_part_mean <= xi - theta / (36.0 * math.sqrt(d)) + 3.0 * res.se_negative
 
-    def test_chunks_keep_the_stream(self):
-        # n spans two chunks and part of a third; the reference reduces the
-        # same Gaussians in one block.
+    def test_chunked_reduction_matches_one_block(self):
+        # n spans two chunks and part of a third; the reference draws the
+        # same coordinates chunk by chunk and reduces them in one block.
         d, theta = 20, math.pi / 4
-        n = 2 * geometry.chunk_rows(d) + 1000
+        n = 2 * geometry.CHUNK_POINTS + 1000
         u, w = planted_pair(d, theta, seed=6)
         xi = theta / (8.0 * math.sqrt(d))
         new, ref = np.random.default_rng(6), np.random.default_rng(6)
         res = conditional_moment_oracle(u, w, xi, n, new)
-        g = ref.standard_normal((n, d))
-        g -= np.outer(g @ w, w)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        dots = xi * math.cos(theta) + math.sqrt(1.0 - xi * xi) * (g @ u)
+        sizes = [geometry.CHUNK_POINTS, geometry.CHUNK_POINTS, 1000]
+        t = np.concatenate([geometry.sphere_coordinates(d - 1, 1, ref, k)[0] for k in sizes])
+        dots = xi * math.cos(theta) + math.sqrt(1.0 - xi * xi) * math.sin(theta) * t
         assert new.bit_generator.state == ref.bit_generator.state
         for vals, mean, se in (
             (dots, res.mean, res.se_mean),
@@ -364,6 +394,24 @@ class TestConditionalMomentOracle:
         ):
             assert mean == pytest.approx(vals.mean(), rel=1e-12, abs=0.0)
             assert se == pytest.approx(vals.std() / math.sqrt(n), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,theta", [(3, 0.3), (10, 1.0), (25, 2.5)])
+    def test_moments_match_literal_points(self, d, theta):
+        # The reference projects whole d-wide Gaussian rows off w; each
+        # estimate agrees with the oracle's within 4 joint standard errors.
+        n = 100_000
+        u, w = planted_pair(d, theta, seed=d)
+        xi = theta / (8.0 * math.sqrt(d))
+        res = conditional_moment_oracle(u, w, xi, n, np.random.default_rng([d, 1]))
+        g = np.random.default_rng([d, 2]).standard_normal((n, d))
+        g -= np.outer(g @ w, w)
+        dots = xi * (u @ w) + math.sqrt(1.0 - xi * xi) * (g @ u) / np.linalg.norm(g, axis=1)
+        for vals, mean, se in (
+            (dots, res.mean, res.se_mean),
+            (dots * dots, res.second_moment, res.se_second),
+            (np.minimum(dots, 0.0), res.negative_part_mean, res.se_negative),
+        ):
+            assert abs(mean - vals.mean()) <= 4.0 * math.hypot(se, vals.std() / math.sqrt(n))
 
     def test_second_moment_analytic_bound_value(self, rng):
         # 5 theta^2 / d at theta = pi/4, d = 20.

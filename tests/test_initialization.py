@@ -1,5 +1,6 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from percband import geometry
+from percband import geometry, initialization
 from percband.initialization import (
     acute_initialize,
     hypothesis_test_size,
@@ -136,6 +137,26 @@ class TestAcuteInitialize:
                        for t in run.traces)
             assert type(run.succeeded) is bool
             assert run.succeeded == (geometry.angle(run.final, target) <= math.pi * model.zeta / 16)
+
+    @pytest.mark.parametrize("theta, tested", [(1e-9, True), (0.0, False), (math.pi, False)])
+    def test_degenerate_only_when_branches_are_parallel(self, monkeypatch, theta, tested):
+        # At theta = 1e-9, acos(v_pos . v_neg) would read 0; the sine read
+        # from v_neg's orthogonal part sees the pair as separated and runs
+        # the test. (Anti)parallel outputs skip it.
+        v_pos, v_neg = planted_pair(10, 1e-9)
+        if not tested:
+            v_neg = v_pos if theta == 0.0 else -v_pos
+        finals = iter([v_pos, v_neg])
+        monkeypatch.setattr(
+            initialization,
+            "active_perceptron",
+            lambda *args: SimpleNamespace(final=next(finals), total_labels=0, total_unlabeled=0),
+        )
+        rng = np.random.default_rng(0)
+        oracle = LabelingOracle(v_pos, NoiseModel.realizable(), rng)
+        result = acute_initialize(oracle, 0.1, rng)
+        assert (result.test_size > 0) == tested
+        assert oracle.queries == result.test_size
 
 
 class TestDisagreementRegionSampling:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from percband import bench, geometry
 from percband.learner import mod_perceptron_params
@@ -18,16 +19,34 @@ from percband.verify import (
     simulate_progress_steps,
 )
 
-from conftest import traced_peak_bytes
+from conftest import planted_pair, traced_peak_bytes
 
-# sha256 of the verify CSV of run_suite(seed=0, n_samples=20_000). It changed
-# once when every check came to draw and reduce 1 MiB of Gaussians at a time:
-# the progress check now draws angles, margins, Gaussians and label coins
-# chunk by chunk (a new stream), and the moment check sums per chunk (its
-# printed digits did not move). Beyond that, how the checks draw may change
-# only if every count, estimate and generator state stays the same, and with
-# them these bytes.
-VERIFY_20K_SHA256 = "57576b1265fe3f9397b9a666ace8c0ec62f50debb3d2f5ea2368d90e8202f8d7"
+
+def literal_count_disagreements(a, b, n, rng):
+    """The counter that count_disagreements reduces, kept as the reference
+    for its law: n uniform sphere points drawn as whole d-wide rows."""
+    pts = geometry.sample_uniform_sphere(a.shape[0], rng, n=n)
+    return int(np.count_nonzero((pts @ a >= 0.0) != (pts @ b >= 0.0)))
+
+
+# sha256 of the verify CSV of run_suite(seed=0, n_samples=20_000). The
+# stream has changed twice, each time on purpose and with the law of every
+# statistic kept:
+# - when every check came to draw and reduce 1 MiB of Gaussians at a time
+#   (the progress check's draws were reordered chunk by chunk);
+# - when every check came to draw only the coordinates its statistic reads
+#   instead of whole d-wide Gaussian rows: two normals per point for the
+#   disagreement count, one sphere coordinate (a normal and a chi-square) per
+#   point for the moment and progress checks. The tests of count_disagreements,
+#   conditional_moment_oracle and sphere_coordinates compare each reduction
+#   with the literal d-wide draw.
+# Beyond that, how the checks draw may change only if every count, estimate
+# and generator state stays the same, and with them these bytes.
+VERIFY_20K_SHA256 = "c19482f630df037d25d6801ac916086680e492e6f327d4a642f2897ac44d3597"
+
+
+# Two chunks of the sampled checks and part of a third.
+SPAN = 2 * geometry.CHUNK_POINTS + 1000
 
 
 class TestErrorAngleCheck:
@@ -37,20 +56,36 @@ class TestErrorAngleCheck:
         assert all(r.passed for r in results)
         assert all(r.statistic <= r.margin for r in results)
 
-    @pytest.mark.parametrize("d,n", [(10, 30_000), (3, 100_000), (25, 50)])
-    def test_counts_match_normalized_points(self, d, n):
-        # Same Gaussians in the same order as normalized sphere points drawn
-        # in one block. At d=10 and d=3, n spans two chunks and part of a
-        # third; at d=25, n is less than one chunk.
+    def test_memory_is_bounded(self, rng):
+        results, peak = traced_peak_bytes(lambda: check_error_angle_relation(10, 2, 400_000, rng))
+        assert all(r.passed for r in results)
+        assert peak < 8 * geometry.CHUNK_BYTES
+
+    @pytest.mark.parametrize("d,n", [(10, SPAN), (3, SPAN), (25, 50)])
+    def test_chunked_count_matches_one_block(self, d, n):
+        # The reference reduces the same normals, drawn in one block. At d=10
+        # and d=3, n spans two chunks and part of a third; at d=25, n is less
+        # than one chunk.
         new, ref = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(3):
             a, b = geometry.sample_uniform_sphere(d, new), geometry.sample_uniform_sphere(d, new)
             count = count_disagreements(a, b, n, new)
             geometry.sample_uniform_sphere(d, ref)
             geometry.sample_uniform_sphere(d, ref)
-            pts = geometry.sample_uniform_sphere(d, ref, n=n)
-            assert count == int(np.sum((pts @ a >= 0.0) != (pts @ b >= 0.0)))
+            z = ref.standard_normal((n, 2))
+            cos, sin = geometry.cos_sin(a, b)
+            assert count == int(np.sum((z[:, 0] >= 0.0) != (cos * z[:, 0] + sin * z[:, 1] >= 0.0)))
             assert new.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("d,theta", [(3, 0.3), (10, 1.0), (25, 2.5)])
+    def test_count_law_matches_literal_points(self, d, theta):
+        # 1,000 counts over 20 points each, reduced and literal: 20,000
+        # points a side.
+        a, b = planted_pair(d, theta, seed=d)
+        new, ref = np.random.default_rng([d, 1]), np.random.default_rng([d, 2])
+        reduced = [count_disagreements(a, b, 20, new) for _ in range(1000)]
+        literal = [literal_count_disagreements(a, b, 20, ref) for _ in range(1000)]
+        assert stats.ks_2samp(reduced, literal).pvalue > 0.01
 
 
 class TestBandMassCheck:
@@ -102,7 +137,7 @@ class TestProgressMeasureCheck:
         # n spans two chunks and part of a third; the check's running sums
         # agree with the concatenated increments of the same stream.
         theta, d, model = math.pi / 4, 10, NoiseModel.bounded(0.3)
-        n = 2 * geometry.chunk_rows(d - 1) + 1000
+        n = SPAN
         positive, coarse = check_progress_measure(model, d, theta, n, np.random.default_rng(5))
         _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
         deltas = simulate_progress_steps(model, d, theta, b, n, np.random.default_rng(5))
