@@ -16,19 +16,19 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import geometry, verify
-from .initialization import acute_initialize, branch_schedule
+from .initialization import _branch_epsilon, acute_initialize, branch_schedule
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
     RunReport,
     Schedule,
+    _check_epsilon,
     active_perceptron,
     make_schedule,
 )
@@ -66,8 +66,9 @@ class ExperimentConfig:
             raise ValueError(f"d must be >= {geometry.MIN_DIMENSION}, got {self.d}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
+        if self.mode == "init":
+            _branch_epsilon(self.noise)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.master_seed < 0:
@@ -202,6 +203,9 @@ def _execute(config: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[Tri
     """Run (value_index, trial_index) tasks; rows come back in task order."""
     workers = min(config.jobs, len(tasks))
     if workers > 1:
+        # Imported here so that single-process runs do not import multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(run_trial, config), *zip(*tasks)))
     return [run_trial(config, v, t) for v, t in tasks]

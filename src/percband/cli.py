@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -112,13 +114,17 @@ def parse_sweep(spec: str) -> tuple[str, list[float]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a help formatter for every flag it adds, and each one
+    # asks for the terminal width: ask once, for the width it would read.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="percband",
         description="Active halfspace learning benchmark on the unit sphere",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, command_help in COMMANDS.items():
-        p = sub.add_parser(command, help=command_help)
+        p = sub.add_parser(command, help=command_help, formatter_class=formatter)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for name, (kind, commands, help_text) in SETTINGS.items():
             if command not in commands:

@@ -155,11 +155,19 @@ def disagreement_mass(a, b) -> float:
 def band_mass(d: int, lower: float, upper: float) -> float:
     """P[lower <= x1 <= upper] for x uniform on the sphere in R^d, in closed form.
 
+    Memoized: the trials of one configuration ask for the same bands, one
+    per epoch, so every trial after the first reads them from the cache.
+
     With q = 1 - z^2, k = (d - 3) // 2 and e = 1 if d is even, else 0:
     P[0 <= x1 <= z] = e asin(z)/pi + t_0 + ... + t_k, P[x1 >= z] = t_{k+1} + ...,
     t_0 = z sqrt(q)/pi if e else z/2, t_i = t_{i-1} q (2i - 1 + e)/(2i + e)
     (Abramowitz & Stegun 26.7.3-4). Every term is positive.
     """
+    return _band_mass(d, lower, upper)
+
+
+@functools.lru_cache(maxsize=256)
+def _band_mass(d: int, lower: float, upper: float) -> float:
     if d < MIN_DIMENSION:
         raise DimensionMismatch(f"dimension must be >= {MIN_DIMENSION}, got {d}")
     if not (0.0 <= lower < upper <= 1.0):
@@ -225,7 +233,6 @@ def rejection_sample_band(
     band: Band,
     rng: np.random.Generator,
     draw_budget: int,
-    mass: float | None = None,
 ) -> tuple[np.ndarray, int]:
     """Draw one point uniform on ``band``; also return the unlabeled draws used.
 
@@ -234,15 +241,11 @@ def rejection_sample_band(
     count of the sequential process, up to and including the first hit. The
     learner takes the same law of (point, draws) from :func:`draw_band_tape`,
     and the tests compare the two.
-
-    ``mass`` (the band's :func:`band_mass`, which sizes the chunks) skips
-    that call for callers that sample the same band geometry repeatedly.
     """
     if draw_budget < 1:
         raise ValueError("draw_budget must be >= 1")
     d = band.dimension
-    if mass is None:
-        mass = band_mass(d, band.lower, band.upper)
+    mass = band_mass(d, band.lower, band.upper)
     if mass <= 0.0:
         raise ValueError("band has zero mass")
     chunk = min(max(16, math.ceil(4.0 / mass)), chunk_rows(d))

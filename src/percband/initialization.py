@@ -34,6 +34,7 @@ from . import geometry
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
+    MIN_EPSILON,
     RunReport,
     Schedule,
     active_perceptron,
@@ -64,6 +65,18 @@ def hypothesis_test_size(model: NoiseModel, delta: float) -> int:
     return math.ceil(8.0 / (zeta * zeta) * math.log(6.0 / delta))
 
 
+def _branch_epsilon(model: NoiseModel) -> float:
+    """The branch runs' target error (1 - 2 eta) / 16; bounded noise with eta
+    so near 1/2 that it falls below the schedules' floor is refused."""
+    epsilon = model.zeta / 16.0
+    if epsilon < MIN_EPSILON:
+        raise ValueError(
+            f"init's branch runs target (1 - 2 eta) / 16 = {epsilon:g}, "
+            f"below the epsilon floor {MIN_EPSILON:g}"
+        )
+    return epsilon
+
+
 def branch_schedule(
     d: int,
     model: NoiseModel,
@@ -75,7 +88,7 @@ def branch_schedule(
     (1 - 2 eta) / 16 at failure budget delta / 3."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return make_schedule(d, model.zeta / 16.0, delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
+    return make_schedule(d, _branch_epsilon(model), delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
 
 
 def acute_initialize(

@@ -56,6 +56,13 @@ THEORY_SCALE_B = 1.0 / (2.0 * (600.0 * math.pi) ** 2)
 DEFAULT_SCALE_M = 4.0
 DEFAULT_SCALE_B = 0.5
 
+# The smallest target error a schedule takes. The chain stores a = cos(theta),
+# which rounds to 1 below theta ~ 1.5e-8 (the root of the float64 epsilon):
+# there pa = 0, a realizable run stops moving, and acos reads the angle as 0,
+# so a smaller epsilon would report successes it cannot check. At 1e-7,
+# pi * epsilon is about 20 times that resolution.
+MIN_EPSILON = 1e-7
+
 # An epoch draws its randomness in chunks of at most this many steps; a
 # step's tape row is a few scalars in any dimension.
 TAPE_STEPS = 1 << 13
@@ -112,6 +119,12 @@ def mod_perceptron_params(
     return m, b
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a target error outside [MIN_EPSILON, 1), NaN included."""
+    if not (MIN_EPSILON <= epsilon < 1.0):
+        raise ValueError(f"epsilon must lie in [{MIN_EPSILON:g}, 1), got {epsilon}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Per-epoch iteration counts m and band widths b for target error
@@ -126,8 +139,7 @@ class Schedule:
     noise_factor: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.epochs < 1 or len(self.m) != self.epochs or len(self.b) != self.epochs:
             raise ValueError("schedule arrays must have one entry per epoch")
         if any(mk < 1 for mk in self.m):
@@ -150,8 +162,7 @@ def make_schedule(
     for angle bound pi / 2^k at failure budget delta / (k (k+1)), with noise
     factor zeta = 1 - 2 eta under bounded noise and 1 otherwise.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     zeta = model.zeta
@@ -296,10 +307,13 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
     t . x = xi a + s pa tau1 and e . x = xi b + s (c tau2 - a b tau1) / pa.
     When pa = 0 (w = +-t), u1 = e and e . x = xi b + s tau1. A step that
     does not fire costs a few float operations. c is recomputed from (a, b)
-    only at a fire, so it stays exactly 0 until the first one.
+    only at a fire, so it stays exactly 0 until the first one. Square roots
+    of a negative, -0.0 or NaN radicand read 0.0, and pa = 0 forces c = 0.
     """
+    sqrt = math.sqrt
     a, b, c = chain
-    pa = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
+    q = (1.0 - a) * (1.0 + a)
+    pa = sqrt(q) if q > 0.0 else 0.0
     margins = tape.margins
     s = np.sqrt((1.0 - margins) * (1.0 + margins))
     rows = zip(margins.tolist(), (s * tape.tau1).tolist(), (s * tape.tau2).tolist(),
@@ -310,9 +324,13 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
             ex = xi * b + ((c * st2 - a * b * st1) / pa if pa > 0.0 else st1)
             a -= 2.0 * xi * tx
             b -= 2.0 * xi * ex
-            q = max(0.0, (1.0 - a) * (1.0 + a))
-            pa = math.sqrt(q)
-            c = math.sqrt(max(0.0, q - b * b))
+            q = (1.0 - a) * (1.0 + a)
+            if q > 0.0:
+                pa = sqrt(q)
+                q -= b * b
+                c = sqrt(q) if q > 0.0 else 0.0
+            else:
+                pa = c = 0.0
     return a, b, c
 
 

@@ -15,6 +15,7 @@ unit vector u, with sign(0) := +1. Three corruption regimes are supported:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,8 +82,14 @@ def adversarial_threshold(d: int, nu: float) -> float:
     """Slab half-width tau with P[|x1| <= tau] = nu for x uniform on the sphere.
 
     Bisection on :func:`geometry.band_mass`: 45 halvings of [0, 1] leave tau
-    within 2^-46 (about 1.4e-14) of the root.
+    within 2^-46 (about 1.4e-14) of the root. Memoized, as the oracle of
+    every trial of a configuration asks for the same tau.
     """
+    return _adversarial_threshold(d, nu)
+
+
+@functools.lru_cache(maxsize=64)
+def _adversarial_threshold(d: int, nu: float) -> float:
     if not (0.0 <= nu <= 1.0):
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
     if nu in (0.0, 1.0):

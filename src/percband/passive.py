@@ -41,7 +41,6 @@ class LabeledExampleSource:
         band: Band,
         rng: np.random.Generator,
         draw_budget: int,
-        mass: float | None = None,
     ) -> tuple[np.ndarray, int, int]:
         """Draw labeled pairs until one lands in the band.
 
@@ -51,7 +50,7 @@ class LabeledExampleSource:
         drawn pair costs one.
         """
         try:
-            x, pairs = geometry.rejection_sample_band(band, rng, draw_budget, mass=mass)
+            x, pairs = geometry.rejection_sample_band(band, rng, draw_budget)
         except geometry.DrawBudgetExceeded as exc:
             self.oracle.charge_queries(exc.draws_used)
             raise

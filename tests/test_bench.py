@@ -112,6 +112,16 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             run_suite(4, n_samples=0)
 
+    def test_config_refuses_epsilon_below_the_floor(self):
+        # Refused when the config is built, not when its first trial runs.
+        assert ExperimentConfig(epsilon=learner.MIN_EPSILON).epsilon == learner.MIN_EPSILON
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            ExperimentConfig(epsilon=1e-10)
+        # init's branch runs target (1 - 2 eta) / 16, whatever epsilon says.
+        ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.49))
+        with pytest.raises(ValueError, match="branch runs target"):
+            ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.4999999))
+
     def test_init_mode_accounts_for_preamble(self):
         rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))
         for row in rows:
@@ -153,7 +163,7 @@ class TestSweep:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         assert len(run_single(small_config(jobs=64, trials=2))) == 2
         assert workers == [2]
 
@@ -286,6 +296,39 @@ class TestCli:
         # About 8,000 steps that draw about 7e10 unlabeled points: each step
         # draws its count as one geometric number, so the draws cost nothing.
         assert main(["run", "--d", "10", "--epsilon", "1e-6", "--trials", "1"]) == 0
+
+    def test_epsilon_below_the_floor_is_a_usage_error(self, capsys):
+        # Below about 1.5e-8 the chain's a = cos(theta) rounds to 1 and acos
+        # reads 0, so these trials used to report success at true angles
+        # above pi * epsilon.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--d", "10", "--epsilon", "1e-10", "--trials", "3", "--seed", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"epsilon must lie in [{learner.MIN_EPSILON:g}, 1)" in err
+
+    def test_help_wraps_at_the_terminal_width(self, monkeypatch, capsys):
+        lines = {}
+        for columns in (40, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit):
+                main(["run", "--help"])
+            lines[columns] = capsys.readouterr().out.splitlines()
+        assert len(lines[40]) > len(lines[120])
+        assert 40 < max(map(len, lines[120])) <= 118
+
+    def test_settings_do_not_leak_between_calls(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["run", "--d", "5", "--scale-m", "3", "--epsilon", "0.25", "--trials", "1",
+                     "--out", str(first)]) == 0
+        assert main(["run", "--epsilon", "0.25", "--trials", "1", "--out", str(second)]) == 0
+        header = CSV_HEADER.split(",")
+        rows = [dict(zip(header, path.read_text().splitlines()[1].split(",")))
+                for path in (first, second)]
+        assert (rows[0]["d"], float(rows[0]["scale_m"])) == ("5", 3.0)
+        defaults = ExperimentConfig()
+        assert (rows[1]["d"], float(rows[1]["scale_m"])) == (str(defaults.d), defaults.scale_m)
 
     def test_bad_sweep_value_is_a_usage_error(self, capsys):
         for spec in ("d=2.5", "d=inf"):
@@ -430,6 +473,16 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "verify.csv").exists()
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # The process pool is imported only when a run asks for jobs > 1.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(percband.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, percband.cli; print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestTimingColumn:

@@ -153,10 +153,9 @@ def test_degenerate_starts(model, start):
 
 def literal_epoch(oracle, w0, m, b, rng):
     """One epoch on the literal draw-and-discard sampler; returns (w, draws)."""
-    p = band_mass(oracle.dimension, b / 2.0, b)
     w, draws = w0, 0
     for _ in range(m):
-        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9, mass=p)
+        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9)
         draws += used
         w = modified_perceptron_step(w, x, oracle.query(x))
     return w, draws
@@ -315,3 +314,92 @@ def test_accounting_and_unit_iterates(d, model, b, charge_rejected, epochs, seed
         assert labels == (draws if charge_rejected else m)
         assert w.shape == (d,) and math.isclose(np.linalg.norm(w), 1.0, abs_tol=1e-9)
         assert (w is w_in) == (m == 0)
+
+
+def reference_run_chain(chain, tape, coins, radius):
+    """``learner._run_chain`` as it read with ``max`` clamps, kept verbatim:
+    the lean loop must return the same bits."""
+    a, b, c = chain
+    pa = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
+    margins = tape.margins
+    s = np.sqrt((1.0 - margins) * (1.0 + margins))
+    rows = zip(margins.tolist(), (s * tape.tau1).tolist(), (s * tape.tau2).tolist(),
+               coins.tolist())
+    for xi, st1, st2, coin in rows:
+        tx = xi * a + pa * st1
+        if (tx >= 0.0) == (coin and abs(tx) <= radius):
+            ex = xi * b + ((c * st2 - a * b * st1) / pa if pa > 0.0 else st1)
+            a -= 2.0 * xi * tx
+            b -= 2.0 * xi * ex
+            q = max(0.0, (1.0 - a) * (1.0 + a))
+            pa = math.sqrt(q)
+            c = math.sqrt(max(0.0, q - b * b))
+    return a, b, c
+
+
+def bits(state):
+    """A chain state as exact bits: -0.0 and 0.0 differ, and NaNs match."""
+    return tuple(float(x).hex() for x in state)
+
+
+def on_circle(a):
+    """(a, b, 0) with b the float just above sqrt(1 - a^2), so that q - b^2
+    rounds below 0."""
+    return a, math.nextafter(math.sqrt((1.0 - a) * (1.0 + a)), math.inf), 0.0
+
+
+CHAIN_STARTS = {
+    "one": lambda a: (1.0, 0.0, 0.0),
+    "minus_one": lambda a: (-1.0, 0.0, 0.0),
+    "zero": lambda a: (0.0, 1.0, 0.0),
+    "minus_zero": lambda a: (-0.0, -1.0, -0.0),
+    "nan": lambda a: (math.nan, 0.0, 0.5),
+    "random": lambda a: (a, math.sqrt((1.0 - a) * (1.0 + a)), 0.0),
+    "off_circle": lambda a: (a, 0.5 * math.sqrt((1.0 - a) * (1.0 + a)), 0.5),
+    "below_circle": on_circle,
+}
+
+
+def chain_inputs(model, d, width, n, seed, planar):
+    """A tape of n band samples and the label coins of an oracle under model.
+    A planar tape has (tau1, tau2) = (+-1, 0), so each point lies in the plane
+    of t and w: from c = 0 the iterates stay in span(t, e), and 1 - a^2 - b^2
+    after a fire is rounding noise, often below 0."""
+    gen = np.random.default_rng(seed)
+    oracle = LabelingOracle(sample_uniform_sphere(d, gen), model, gen)
+    tape = geometry.draw_band_tape(d, width / 2.0, width, band_mass(d, width / 2.0, width), gen, n)
+    if planar:
+        tape = tape._replace(tau1=np.where(tape.tau1 < 0.0, -1.0, 1.0), tau2=np.zeros(n))
+    return (tape, *oracle.flip_tape(n))
+
+
+@given(
+    model=st.sampled_from(MODELS),
+    start=st.sampled_from(sorted(CHAIN_STARTS)),
+    a=st.floats(-1.0, 1.0),
+    d=st.integers(3, 12),
+    width=st.floats(0.004, 0.5),
+    n=st.integers(1, 300),
+    planar=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_chain_matches_reference_bits(model, start, a, d, width, n, planar, seed):
+    chain = CHAIN_STARTS[start](a)
+    inputs = chain_inputs(model, d, width, n, seed, planar)
+    assert bits(learner._run_chain(chain, *inputs)) == bits(reference_run_chain(chain, *inputs))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_chain_clamps_states_that_round_off_the_circle(model):
+    # Row by row along a planar tape: every fire that leaves q - b^2 below 0
+    # must read c = 0 as the reference does, and such fires must occur.
+    tape, coins, radius = chain_inputs(model, D, 0.03, 400, 17, planar=True)
+    state, below = on_circle(0.6), 0
+    for k in range(tape.margins.size):
+        row = geometry.BandTape(*(column[k:k + 1] for column in tape))
+        new = learner._run_chain(state, row, coins[k:k + 1], radius)
+        assert bits(new) == bits(reference_run_chain(state, row, coins[k:k + 1], radius))
+        below += new != state and (1.0 - new[0]) * (1.0 + new[0]) - new[1] * new[1] < 0.0
+        state = new
+    assert below > 0

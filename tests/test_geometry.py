@@ -349,10 +349,9 @@ class TestRejectionSampleBand:
         # literal sampler's chunks are capped at CHUNK_BYTES of Gaussians.
         d, lower, upper = 5000, 0.04, 0.05
         band = self.make_band(d=d, lower=lower, upper=upper)
-        mass = band_mass(d, lower, upper)
         rng = np.random.default_rng(0)
         (x, draws), peak = traced_peak_bytes(
-            lambda: rejection_sample_band(band, rng, 10**7, mass=mass)
+            lambda: rejection_sample_band(band, rng, 10**7)
         )
         assert lower <= float(x @ band.normal) <= upper and draws >= 1
         assert peak < 8 * geometry.CHUNK_BYTES

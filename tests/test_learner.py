@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from percband import geometry
 from percband.geometry import DimensionMismatch, sample_uniform_sphere
 from percband.learner import (
+    MIN_EPSILON,
     THEORY_SCALE_B,
     THEORY_SCALE_M,
     Schedule,
@@ -137,6 +138,13 @@ class TestSchedule:
     def test_epsilon_outside_unit_interval_refused(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             Schedule(epsilon=epsilon, epochs=1, m=(5,), b=(0.1,), scale_m=1, scale_b=1, noise_factor=1)
+
+    def test_epsilon_floor(self):
+        assert make_schedule(10, MIN_EPSILON, 0.1, NoiseModel.realizable()).epochs == 24
+        with pytest.raises(ValueError, match="epsilon"):
+            make_schedule(10, 1e-10, 0.1, NoiseModel.realizable())
+        with pytest.raises(ValueError, match="epsilon"):
+            Schedule(epsilon=1e-10, epochs=1, m=(5,), b=(0.1,), scale_m=1, scale_b=1, noise_factor=1)
 
     def test_records_epsilon(self):
         assert make_schedule(10, 0.05, 0.1, NoiseModel.realizable()).epsilon == 0.05
