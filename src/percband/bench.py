@@ -22,13 +22,12 @@ from functools import partial
 import numpy as np
 
 from . import geometry, verify
-from .initialization import _branch_epsilon, acute_initialize, branch_schedule
+from .initialization import acute_initialize, branch_schedule
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
     RunReport,
     Schedule,
-    _check_epsilon,
     active_perceptron,
     make_schedule,
 )
@@ -66,11 +65,10 @@ class ExperimentConfig:
             raise ValueError(f"d must be >= {geometry.MIN_DIMENSION}, got {self.d}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        _check_epsilon(self.epsilon)
+        # The schedules a trial runs check epsilon, delta and the scale factors.
+        _schedule(self)
         if self.mode == "init":
-            _branch_epsilon(self.noise)
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+            _branch_schedule(self)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
@@ -81,16 +79,9 @@ class ExperimentConfig:
 class TrialRow:
     """One CSV row; ``report`` tags along for in-process consumers."""
 
+    config: ExperimentConfig
     trial: int
     seed: int
-    mode: str
-    d: int
-    noise_kind: str
-    noise_param: float
-    epsilon: float
-    delta: float
-    scale_m: float
-    scale_b: float
     labels: int
     unlabeled_draws: int
     final_angle: float
@@ -100,18 +91,19 @@ class TrialRow:
     report: RunReport = field(compare=False)
 
     def csv_line(self) -> str:
+        c = self.config
         return ",".join(
             (
                 str(self.trial),
                 str(self.seed),
-                self.mode,
-                str(self.d),
-                self.noise_kind,
-                _fmt(self.noise_param),
-                _fmt(self.epsilon),
-                _fmt(self.delta),
-                _fmt(self.scale_m),
-                _fmt(self.scale_b),
+                c.mode,
+                str(c.d),
+                c.noise.kind,
+                _fmt(c.noise.param),
+                _fmt(c.epsilon),
+                _fmt(c.delta),
+                _fmt(c.scale_m),
+                _fmt(c.scale_b),
                 str(self.labels),
                 str(self.unlabeled_draws),
                 _fmt(self.final_angle),
@@ -143,13 +135,16 @@ def _schedule(config: ExperimentConfig) -> Schedule:
     )
 
 
+def _branch_schedule(config: ExperimentConfig) -> Schedule:
+    return branch_schedule(config.d, config.noise, config.delta, config.scale_m, config.scale_b)
+
+
 def steps_per_trial(config: ExperimentConfig) -> int:
     """Perceptron steps of one trial (sum of m_k), from the schedules alone;
     init mode adds its two branch runs."""
     steps = sum(_schedule(config).m)
     if config.mode == "init":
-        branch = branch_schedule(config.d, config.noise, config.delta, config.scale_m, config.scale_b)
-        steps += 2 * sum(branch.m)
+        steps += 2 * sum(_branch_schedule(config).m)
     return steps
 
 
@@ -179,19 +174,12 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     elapsed = time.perf_counter() - start
 
     return TrialRow(
+        config=config,
         trial=trial_index,
         seed=seed,
-        mode=config.mode,
-        d=config.d,
-        noise_kind=config.noise.kind,
-        noise_param=config.noise.param,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        scale_m=config.scale_m,
-        scale_b=config.scale_b,
         labels=labels + report.total_labels,
         unlabeled_draws=draws + report.total_unlabeled,
-        final_angle=geometry.angle(report.final, target),
+        final_angle=report.traces[-1].theta_after,
         succeeded=report.succeeded,
         wall_time_s=elapsed if config.measure_time else 0.0,
         value_index=value_index,

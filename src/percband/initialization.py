@@ -55,26 +55,23 @@ class InitResult:
     test_size: int
     err_positive: float
     err_negative: float
-    total_labels: int
-    total_unlabeled: int
+    test_draws: int
+
+    @property
+    def total_labels(self) -> int:
+        """Both branch runs' labels plus one label per test example."""
+        return self.positive_run.total_labels + self.negative_run.total_labels + self.test_size
+
+    @property
+    def total_unlabeled(self) -> int:
+        """Both branch runs' draws plus the disagreement test's."""
+        return self.positive_run.total_unlabeled + self.negative_run.total_unlabeled + self.test_draws
 
 
 def hypothesis_test_size(model: NoiseModel, delta: float) -> int:
     """Number of labeled disagreement-region examples for the branch test."""
     zeta = model.zeta
     return math.ceil(8.0 / (zeta * zeta) * math.log(6.0 / delta))
-
-
-def _branch_epsilon(model: NoiseModel) -> float:
-    """The branch runs' target error (1 - 2 eta) / 16; bounded noise with eta
-    so near 1/2 that it falls below the schedules' floor is refused."""
-    epsilon = model.zeta / 16.0
-    if epsilon < MIN_EPSILON:
-        raise ValueError(
-            f"init's branch runs target (1 - 2 eta) / 16 = {epsilon:g}, "
-            f"below the epsilon floor {MIN_EPSILON:g}"
-        )
-    return epsilon
 
 
 def branch_schedule(
@@ -85,10 +82,17 @@ def branch_schedule(
     scale_b: float = DEFAULT_SCALE_B,
 ) -> Schedule:
     """The epoch schedule each of the two branch runs follows: target error
-    (1 - 2 eta) / 16 at failure budget delta / 3."""
+    (1 - 2 eta) / 16 at failure budget delta / 3. Bounded noise with eta so
+    near 1/2 that this target falls below the schedules' floor is refused."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return make_schedule(d, _branch_epsilon(model), delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
+    epsilon = model.zeta / 16.0
+    if epsilon < MIN_EPSILON:
+        raise ValueError(
+            f"init's branch runs target (1 - 2 eta) / 16 = {epsilon:g}, "
+            f"below the epsilon floor {MIN_EPSILON:g}"
+        )
+    return make_schedule(d, epsilon, delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
 
 
 def acute_initialize(
@@ -113,44 +117,20 @@ def acute_initialize(
     run_pos = active_perceptron(oracle, e1, schedule, rng)
     run_neg = active_perceptron(oracle, -e1, schedule, rng)
     v_pos, v_neg = run_pos.final, run_neg.final
-    labels = run_pos.total_labels + run_neg.total_labels
-    draws = run_pos.total_unlabeled + run_neg.total_unlabeled
 
     # The sine of the separation, sin(min(theta, pi - theta)): acos of the
     # dot product would read 0 below about 1.5e-8, far above DEGENERATE_ANGLE.
     _, sin_separation = geometry.cos_sin(v_pos, v_neg)
     if sin_separation < DEGENERATE_ANGLE:
-        return InitResult(
-            vector=v_pos,
-            positive_run=run_pos,
-            negative_run=run_neg,
-            test_size=0,
-            err_positive=0.0,
-            err_negative=0.0,
-            total_labels=labels,
-            total_unlabeled=draws,
-        )
+        return InitResult(v_pos, run_pos, run_neg, 0, 0.0, 0.0, 0)
 
     n_test = hypothesis_test_size(model, delta)
     points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
-    draws += test_draws
     ys = oracle.query_batch(points)
-    labels += n_test
-    pred_pos = np.where(points @ v_pos >= 0.0, 1, -1)
-    pred_neg = np.where(points @ v_neg >= 0.0, 1, -1)
-    err_pos = float(np.mean(pred_pos != ys))
-    err_neg = float(np.mean(pred_neg != ys))
+    err_pos = float(np.mean(np.where(points @ v_pos >= 0.0, 1, -1) != ys))
+    err_neg = float(np.mean(np.where(points @ v_neg >= 0.0, 1, -1) != ys))
     chosen = v_pos if err_pos <= err_neg else v_neg
-    return InitResult(
-        vector=chosen,
-        positive_run=run_pos,
-        negative_run=run_neg,
-        test_size=n_test,
-        err_positive=err_pos,
-        err_negative=err_neg,
-        total_labels=labels,
-        total_unlabeled=draws,
-    )
+    return InitResult(chosen, run_pos, run_neg, n_test, err_pos, err_neg, test_draws)
 
 
 def _sample_disagreement_region(

@@ -127,25 +127,24 @@ def _check_epsilon(epsilon: float) -> None:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-epoch iteration counts m and band widths b for target error
-    epsilon, plus their knobs."""
+    """Per-epoch iteration counts m and band widths b for target error epsilon."""
 
     epsilon: float
-    epochs: int
     m: tuple[int, ...]
     b: tuple[float, ...]
-    scale_m: float
-    scale_b: float
-    noise_factor: float
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if self.epochs < 1 or len(self.m) != self.epochs or len(self.b) != self.epochs:
+        if not self.m or len(self.m) != len(self.b):
             raise ValueError("schedule arrays must have one entry per epoch")
         if any(mk < 1 for mk in self.m):
             raise ValueError("every m_k must be >= 1")
         if any(not (0.0 < bk <= 1.0) for bk in self.b):
             raise ValueError("every b_k must lie in (0, 1]")
+
+    @property
+    def epochs(self) -> int:
+        return len(self.m)
 
 
 def make_schedule(
@@ -165,30 +164,12 @@ def make_schedule(
     _check_epsilon(epsilon)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    zeta = model.zeta
     k0 = max(1, math.ceil(math.log2(1.0 / epsilon) - 1e-9))
-    ms: list[int] = []
-    bs: list[float] = []
-    for k in range(1, k0 + 1):
-        mk, bk = mod_perceptron_params(
-            d,
-            math.pi / 2.0**k,
-            delta / (k * (k + 1)),
-            zeta,
-            scale_m=scale_m,
-            scale_b=scale_b,
-        )
-        ms.append(mk)
-        bs.append(bk)
-    return Schedule(
-        epsilon=epsilon,
-        epochs=k0,
-        m=tuple(ms),
-        b=tuple(bs),
-        scale_m=scale_m,
-        scale_b=scale_b,
-        noise_factor=zeta,
-    )
+    m, b = zip(*(
+        mod_perceptron_params(d, math.pi / 2.0**k, delta / (k * (k + 1)), model.zeta, scale_m, scale_b)
+        for k in range(1, k0 + 1)
+    ))
+    return Schedule(epsilon, m, b)
 
 
 @dataclass(frozen=True)
@@ -211,17 +192,21 @@ class RunReport:
     """
 
     final: np.ndarray
-    total_labels: int
-    total_unlabeled: int
     traces: list[EpochTrace]
     succeeded: bool
+
+    @property
+    def total_labels(self) -> int:
+        return sum(t.labels for t in self.traces)
+
+    @property
+    def total_unlabeled(self) -> int:
+        return sum(t.unlabeled_draws for t in self.traces)
 
     def same_outcome(self, other: "RunReport") -> bool:
         """Field-by-field equality (the final vectors compared exactly)."""
         return (
             np.array_equal(self.final, other.final)
-            and self.total_labels == other.total_labels
-            and self.total_unlabeled == other.total_unlabeled
             and self.traces == other.traces
             and self.succeeded == other.succeeded
         )
@@ -362,25 +347,11 @@ def active_perceptron(
     """
     v = geometry.check_unit(v0, "v0")
     target = oracle.target
+    theta = geometry.angle(v, target)
     traces: list[EpochTrace] = []
-    for k in range(1, schedule.epochs + 1):
-        theta_before = geometry.angle(v, target)
-        v, labels, draws = mod_perceptron(
-            oracle, v, schedule.m[k - 1], schedule.b[k - 1], rng, charge_rejected=charge_rejected
-        )
-        traces.append(
-            EpochTrace(
-                epoch=k,
-                theta_before=theta_before,
-                theta_after=geometry.angle(v, target),
-                labels=labels,
-                unlabeled_draws=draws,
-            )
-        )
-    return RunReport(
-        final=v,
-        total_labels=sum(t.labels for t in traces),
-        total_unlabeled=sum(t.unlabeled_draws for t in traces),
-        traces=traces,
-        succeeded=geometry.angle(v, target) <= math.pi * schedule.epsilon,
-    )
+    for k, (m, b) in enumerate(zip(schedule.m, schedule.b), start=1):
+        v, labels, draws = mod_perceptron(oracle, v, m, b, rng, charge_rejected=charge_rejected)
+        theta_after = geometry.angle(v, target)
+        traces.append(EpochTrace(k, theta, theta_after, labels, draws))
+        theta = theta_after
+    return RunReport(final=v, traces=traces, succeeded=theta <= math.pi * schedule.epsilon)

@@ -86,6 +86,16 @@ class TestRunSingle:
             assert row.labels == row.report.total_labels
             assert row.unlabeled_draws == row.report.total_unlabeled
 
+    def test_trial_measures_each_epoch_boundary_once(self, monkeypatch):
+        # K epochs have K + 1 boundaries; the row's final angle is the last.
+        calls = []
+        angle = geometry.angle
+        monkeypatch.setattr(geometry, "angle", lambda *a: calls.append(1) or angle(*a))
+        row = run_trial(ExperimentConfig(d=10, epsilon=0.05, trials=1), 0, 0)
+        assert len(row.report.traces) == 5
+        assert len(calls) == 6
+        assert row.final_angle == row.report.traces[-1].theta_after
+
     def test_rows_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_single(small_config(output_path=str(out1)))
@@ -121,6 +131,13 @@ class TestRunSingle:
         ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.49))
         with pytest.raises(ValueError, match="branch runs target"):
             ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.4999999))
+
+    @pytest.mark.parametrize("mode", ["active", "init"])
+    @pytest.mark.parametrize("scales", [dict(scale_m=-1.0), dict(scale_b=0.0), dict(scale_m=math.inf)])
+    def test_config_refuses_bad_scale_factors(self, mode, scales):
+        # Refused when the config is built, by the schedules it would run.
+        with pytest.raises(ValueError, match="scale factors must be positive and finite"):
+            ExperimentConfig(mode=mode, **scales)
 
     def test_init_mode_accounts_for_preamble(self):
         rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))

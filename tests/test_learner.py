@@ -120,7 +120,6 @@ class TestSchedule:
     def test_zeta_enters_schedule(self):
         clean = make_schedule(10, 0.1, 0.1, NoiseModel.realizable())
         noisy = make_schedule(10, 0.1, 0.1, NoiseModel.bounded(0.3))
-        assert noisy.noise_factor == pytest.approx(0.4)
         assert all(mn > mc for mn, mc in zip(noisy.m, clean.m))
         assert all(bn < bc for bn, bc in zip(noisy.b, clean.b))
 
@@ -132,19 +131,19 @@ class TestSchedule:
         with pytest.raises(ValueError):
             mod_perceptron_params(10, math.pi / 2, 0.1, 1.0, scale_m=-1.0)
         with pytest.raises(ValueError):
-            Schedule(epsilon=0.1, epochs=2, m=(5,), b=(0.1, 0.2), scale_m=1, scale_b=1, noise_factor=1)
+            Schedule(epsilon=0.1, m=(5,), b=(0.1, 0.2))
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_epsilon_outside_unit_interval_refused(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
-            Schedule(epsilon=epsilon, epochs=1, m=(5,), b=(0.1,), scale_m=1, scale_b=1, noise_factor=1)
+            Schedule(epsilon=epsilon, m=(5,), b=(0.1,))
 
     def test_epsilon_floor(self):
         assert make_schedule(10, MIN_EPSILON, 0.1, NoiseModel.realizable()).epochs == 24
         with pytest.raises(ValueError, match="epsilon"):
             make_schedule(10, 1e-10, 0.1, NoiseModel.realizable())
         with pytest.raises(ValueError, match="epsilon"):
-            Schedule(epsilon=1e-10, epochs=1, m=(5,), b=(0.1,), scale_m=1, scale_b=1, noise_factor=1)
+            Schedule(epsilon=1e-10, m=(5,), b=(0.1,))
 
     def test_records_epsilon(self):
         assert make_schedule(10, 0.05, 0.1, NoiseModel.realizable()).epsilon == 0.05
@@ -223,6 +222,41 @@ class TestActivePerceptron:
         # angle overall from start to finish.
         report, *_ = build_run(4)
         assert report.traces[-1].theta_after < report.traces[0].theta_before
+
+    @given(
+        d=st.integers(3, 12),
+        model=st.sampled_from((
+            NoiseModel.realizable(),
+            NoiseModel.bounded(0.2),
+            NoiseModel.bounded_margin(0.2, 0.1),
+            NoiseModel.adversarial(0.05),
+        )),
+        passive=st.booleans(),
+        epsilon=st.floats(0.2, 0.5),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_run_record_is_consistent(self, d, model, passive, epsilon, seed):
+        gen = np.random.default_rng(seed)
+        u = sample_uniform_sphere(d, gen)
+        v0 = sample_uniform_sphere(d, gen)
+        oracle = LabelingOracle(u, model, np.random.default_rng(seed + 1))
+        queries = oracle.queries
+        report = active_perceptron(
+            oracle, v0, make_schedule(d, epsilon, 0.1, model),
+            np.random.default_rng(seed + 2), charge_rejected=passive,
+        )
+        assert report.total_labels == oracle.queries - queries
+        assert report.total_unlabeled >= report.total_labels
+        if passive:
+            assert report.total_unlabeled == report.total_labels
+        assert abs(np.linalg.norm(report.final) - 1.0) <= 1e-12
+        assert report.traces[0].theta_before == geometry.angle(v0, u)
+        for before, after in zip(report.traces, report.traces[1:]):
+            assert after.theta_before == before.theta_after
+        final_angle = geometry.angle(report.final, u)
+        assert report.traces[-1].theta_after == final_angle
+        assert report.succeeded == (final_angle <= math.pi * epsilon)
 
     def test_succeeded_flag(self):
         report, _, _, u = build_run(5)
