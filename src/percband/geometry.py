@@ -126,12 +126,14 @@ def sample_uniform_sphere(d: int, rng: np.random.Generator, n: int | None = None
 
 
 def angle(a, b) -> float:
-    """Angle arccos(a . b) in [0, pi]; the dot product is clamped to [-1, 1]."""
+    """Angle in [0, pi] between the unit vectors a and b, as atan2 of
+    :func:`cos_sin`. It keeps its relative precision at small angles, where
+    acos(a . b) reads 0 below about 1.5e-8 and is 0.04% low at 3e-7."""
     av = check_unit(a, "a")
     bv = check_unit(b, "b")
     check_same_dimension(av, bv)
-    dot = float(np.dot(av, bv))
-    return math.acos(min(1.0, max(-1.0, dot)))
+    cos, sin = cos_sin(av, bv)
+    return math.atan2(sin, cos)
 
 
 def cos_sin(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

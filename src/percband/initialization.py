@@ -118,8 +118,9 @@ def acute_initialize(
     run_neg = active_perceptron(oracle, -e1, schedule, rng)
     v_pos, v_neg = run_pos.final, run_neg.final
 
-    # The sine of the separation, sin(min(theta, pi - theta)): acos of the
-    # dot product would read 0 below about 1.5e-8, far above DEGENERATE_ANGLE.
+    # The sine of the separation, sin(min(theta, pi - theta)), keeps its
+    # relative precision at small angles, so DEGENERATE_ANGLE is the
+    # threshold in effect.
     _, sin_separation = geometry.cos_sin(v_pos, v_neg)
     if sin_separation < DEGENERATE_ANGLE:
         return InitResult(v_pos, run_pos, run_neg, 0, 0.0, 0.0, 0)
@@ -147,9 +148,8 @@ def _sample_disagreement_region(
     (cos theta, sin theta), and the disagreement wedges are the in-plane
     directions s (-sin(theta U), cos(theta U)) for U in [0, 1) and s = +-1.
     Each point is a Gaussian d-vector whose in-plane part is replaced by its
-    own norm times such a direction, normalized. theta is read from
-    ``geometry.cos_sin``, where acos(v_pos . v_neg) would read 0 below about
-    1.5e-8; it must not be 0.
+    own norm times such a direction, normalized. theta, read as in
+    ``geometry.angle``, must not be 0.
     """
     d = v_pos.shape[0]
     cos_theta, sin_theta = geometry.cos_sin(v_pos, v_neg)

@@ -58,9 +58,9 @@ DEFAULT_SCALE_B = 0.5
 
 # The smallest target error a schedule takes. The chain stores a = cos(theta),
 # which rounds to 1 below theta ~ 1.5e-8 (the root of the float64 epsilon):
-# there pa = 0, a realizable run stops moving, and acos reads the angle as 0,
-# so a smaller epsilon would report successes it cannot check. At 1e-7,
-# pi * epsilon is about 20 times that resolution.
+# there pa = 0 and a realizable run stops moving, so a smaller epsilon would
+# ask for an angle the chain cannot resolve. At 1e-7, pi * epsilon is about
+# 20 times that resolution.
 MIN_EPSILON = 1e-7
 
 # An epoch draws its randomness in chunks of at most this many steps; a

@@ -144,6 +144,11 @@ class TestAngle:
         with pytest.raises(DimensionMismatch):
             angle([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("theta", [1e-9, 3e-7, 1e-3, 3.0])
+    def test_keeps_relative_precision_at_small_angles(self, theta):
+        # acos of the dot product reads 0 at 1e-9 and 0.04% low at 3e-7.
+        assert angle(*planted_pair(10, theta, seed=1)) == pytest.approx(theta, rel=1e-6, abs=0.0)
+
     def test_clamps_dot_product(self):
         # A dot product can exceed 1 by float noise; arccos must not blow up.
         v = geometry.normalize([0.6, 0.8, 0.0])
