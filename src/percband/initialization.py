@@ -128,8 +128,10 @@ def acute_initialize(
     n_test = hypothesis_test_size(model, delta)
     points, test_draws = _sample_disagreement_region(v_pos, v_neg, n_test, rng)
     ys = oracle.query_batch(points)
-    err_pos = float(np.mean(np.where(points @ v_pos >= 0.0, 1, -1) != ys))
-    err_neg = float(np.mean(np.where(points @ v_neg >= 0.0, 1, -1) != ys))
+    pred_pos = np.where(points @ v_pos >= 0.0, 1, -1)
+    pred_neg = np.where(points @ v_neg >= 0.0, 1, -1)
+    err_pos = float(np.mean(pred_pos != ys))
+    err_neg = float(np.mean(pred_neg != ys))
     chosen = v_pos if err_pos <= err_neg else v_neg
     return InitResult(chosen, run_pos, run_neg, n_test, err_pos, err_neg, test_draws)
 
