@@ -7,15 +7,12 @@ seeded benchmark harness (see ``percband.cli`` for the command line).
 """
 
 from .geometry import (
-    Band,
     DimensionMismatch,
-    DrawBudgetExceeded,
     angle,
     band_mass,
     conditional_moment_oracle,
     disagreement_mass,
     normalize,
-    rejection_sample_band,
     sample_uniform_sphere,
 )
 from .initialization import InitResult, acute_initialize
@@ -31,22 +28,17 @@ from .learner import (
     make_schedule,
     mod_perceptron,
     mod_perceptron_params,
-    modified_perceptron_step,
 )
 from .oracles import LabelingOracle, NoiseModel, adversarial_threshold
-from .passive import LabeledExampleSource
 from .verify import CheckResult, run_suite
 
 __all__ = [
-    "Band",
     "CheckResult",
     "DEFAULT_SCALE_B",
     "DEFAULT_SCALE_M",
     "DimensionMismatch",
-    "DrawBudgetExceeded",
     "EpochTrace",
     "InitResult",
-    "LabeledExampleSource",
     "LabelingOracle",
     "NoiseModel",
     "THEORY_SCALE_B",
@@ -63,9 +55,7 @@ __all__ = [
     "make_schedule",
     "mod_perceptron",
     "mod_perceptron_params",
-    "modified_perceptron_step",
     "normalize",
-    "rejection_sample_band",
     "run_suite",
     "sample_uniform_sphere",
 ]

@@ -41,19 +41,6 @@ class DimensionMismatch(ValueError):
     """Operands live in different (or unsupported) ambient dimensions."""
 
 
-class DrawBudgetExceeded(RuntimeError):
-    """Rejection sampling ran out of its draw budget before accepting.
-
-    Attributes:
-        draws_used: unlabeled draws consumed before giving up (equals the
-            budget that was passed in).
-    """
-
-    def __init__(self, message: str, draws_used: int):
-        super().__init__(message)
-        self.draws_used = draws_used
-
-
 def check_unit(v, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a unit-norm 1-D float64 array."""
     arr = np.asarray(v, dtype=np.float64)
@@ -231,11 +218,7 @@ def sample_margins(
     return out
 
 
-def rejection_sample_band(
-    band: Band,
-    rng: np.random.Generator,
-    draw_budget: int,
-) -> tuple[np.ndarray, int]:
+def rejection_sample_band(band: Band, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Draw one point uniform on ``band``; also return the unlabeled draws used.
 
     The literal process: draw uniform sphere points and discard them until
@@ -244,26 +227,20 @@ def rejection_sample_band(
     learner takes the same law of (point, draws) from :func:`draw_band_tape`,
     and the tests compare the two.
     """
-    if draw_budget < 1:
-        raise ValueError("draw_budget must be >= 1")
     d = band.dimension
     mass = band_mass(d, band.lower, band.upper)
     if mass <= 0.0:
         raise ValueError("band has zero mass")
     chunk = min(max(16, math.ceil(4.0 / mass)), chunk_rows(d))
     used = 0
-    while used < draw_budget:
-        take = min(chunk, draw_budget - used)
-        pts = sample_uniform_sphere(d, rng, n=take)
+    while True:
+        pts = sample_uniform_sphere(d, rng, n=chunk)
         dots = pts @ band.normal
         hits = np.flatnonzero((dots >= band.lower) & (dots <= band.upper))
         if hits.size:
             first = int(hits[0])
             return pts[first], used + first + 1
-        used += take
-    raise DrawBudgetExceeded(
-        f"no point accepted within {draw_budget} draws", draws_used=draw_budget
-    )
+        used += chunk
 
 
 class BandTape(NamedTuple):

@@ -203,14 +203,6 @@ class RunReport:
     def total_unlabeled(self) -> int:
         return sum(t.unlabeled_draws for t in self.traces)
 
-    def same_outcome(self, other: "RunReport") -> bool:
-        """Field-by-field equality (the final vectors compared exactly)."""
-        return (
-            np.array_equal(self.final, other.final)
-            and self.traces == other.traces
-            and self.succeeded == other.succeeded
-        )
-
 
 def mod_perceptron(
     oracle: LabelingOracle,

@@ -32,28 +32,13 @@ class LabeledExampleSource:
     def __init__(self, oracle: LabelingOracle):
         self.oracle = oracle
 
-    @property
-    def dimension(self) -> int:
-        return self.oracle.dimension
-
-    def draw_in_band(
-        self,
-        band: Band,
-        rng: np.random.Generator,
-        draw_budget: int,
-    ) -> tuple[np.ndarray, int, int]:
+    def draw_in_band(self, band: Band, rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
         """Draw labeled pairs until one lands in the band.
 
         Returns (x, y, pairs_drawn) where pairs_drawn includes the accepted
-        pair and every rejected one. A :class:`geometry.DrawBudgetExceeded`
-        is raised after the whole budget is charged as labels, since every
-        drawn pair costs one.
+        pair and every rejected one.
         """
-        try:
-            x, pairs = geometry.rejection_sample_band(band, rng, draw_budget)
-        except geometry.DrawBudgetExceeded as exc:
-            self.oracle.charge_queries(exc.draws_used)
-            raise
+        x, pairs = geometry.rejection_sample_band(band, rng)
         self.oracle.charge_queries(pairs - 1)
         y = self.oracle.query(x)
         return x, y, pairs

@@ -189,9 +189,18 @@ def check_conditional_moments(
 def _progress_chunks(
     model: NoiseModel, d: int, theta: float, b: float, n_steps: int, rng: np.random.Generator
 ):
-    """Yield the increments of :func:`simulate_progress_steps` in chunks of
-    ``geometry.CHUNK_POINTS`` steps. Each chunk draws its angles, its margins,
-    its orthogonal-sphere coordinates, then its label coins."""
+    """Per-step progress-measure increments from independent random states,
+    in chunks of ``geometry.CHUNK_POINTS`` steps.
+
+    Each step plants an iterate at angle theta_t ~ U[theta/4, 5 theta/3] from
+    the target, draws a point of the band [b/2, b] around the iterate via the
+    margin/orthogonal-sphere decomposition (u . x = xi cos(theta_t) +
+    sqrt(1 - xi^2) sin(theta_t) t, with t the orthogonal-sphere marginal),
+    labels it by the noise law, and yields the exact change of cos(angle)
+    the reflection update would produce: -2 * 1{y (w.x) < 0} (w.x)(u.x).
+    Each chunk draws its angles, its margins, its orthogonal-sphere
+    coordinates, then its label coins.
+    """
     tau = adversarial_threshold(d, model.nu) if model.kind == "adversarial" else None
     for start in range(0, n_steps, geometry.CHUNK_POINTS):
         count = min(geometry.CHUNK_POINTS, n_steps - start)
@@ -201,27 +210,6 @@ def _progress_chunks(
         u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
         ys = labels_from_dots(model, u_dot_x, rng, tau)
         yield np.where(ys * xi < 0.0, -2.0 * xi * u_dot_x, 0.0)
-
-
-def simulate_progress_steps(
-    model: NoiseModel,
-    d: int,
-    theta: float,
-    b: float,
-    n_steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-step progress-measure increments from independent random states.
-
-    Each step plants an iterate at angle theta_t ~ U[theta/4, 5 theta/3] from
-    the target, draws a point of the band [b/2, b] around the iterate via the
-    margin/orthogonal-sphere decomposition (u . x = xi cos(theta_t) +
-    sqrt(1 - xi^2) sin(theta_t) t, with t the orthogonal-sphere marginal),
-    labels it by the noise law, and returns the exact change of cos(angle)
-    the reflection update would produce: -2 * 1{y (w.x) < 0} (w.x)(u.x).
-    This concatenates the chunks of :func:`_progress_chunks`.
-    """
-    return np.concatenate(list(_progress_chunks(model, d, theta, b, n_steps, rng)))
 
 
 def check_progress_measure(
@@ -239,7 +227,7 @@ def check_progress_measure(
     c = b sqrt(d) / (zeta theta), i.e. the threshold equals 16 b theta / 3.
     b <= theta / (2 sqrt(3) ln 10) < theta, as the coarse bound requires.
 
-    The steps are those of :func:`simulate_progress_steps`, reduced chunk by
+    The steps are those of :func:`_progress_chunks`, reduced chunk by
     chunk to a running sum, sum of squares and max |increment|.
     """
     if not (0.0 < theta <= 27.0 * math.pi / 50.0):

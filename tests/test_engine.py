@@ -155,7 +155,7 @@ def literal_epoch(oracle, w0, m, b, rng):
     """One epoch on the literal draw-and-discard sampler; returns (w, draws)."""
     w, draws = w0, 0
     for _ in range(m):
-        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng, 10**9)
+        x, used = rejection_sample_band(Band(normal=w, lower=b / 2.0, upper=b), rng)
         draws += used
         w = modified_perceptron_step(w, x, oracle.query(x))
     return w, draws

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from percband import bench, geometry
+from percband import bench, geometry, verify
 from percband.learner import mod_perceptron_params
 from percband.oracles import NoiseModel
 from percband.verify import (
@@ -16,10 +16,14 @@ from percband.verify import (
     check_progress_measure,
     count_disagreements,
     run_suite,
-    simulate_progress_steps,
 )
 
 from conftest import planted_pair, traced_peak_bytes
+
+
+def progress_steps(model, d, theta, b, n_steps, rng):
+    """The progress check's increments, concatenated over its chunks."""
+    return np.concatenate(list(verify._progress_chunks(model, d, theta, b, n_steps, rng)))
 
 
 def literal_count_disagreements(a, b, n, rng):
@@ -140,7 +144,7 @@ class TestProgressMeasureCheck:
         n = SPAN
         positive, coarse = check_progress_measure(model, d, theta, n, np.random.default_rng(5))
         _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
-        deltas = simulate_progress_steps(model, d, theta, b, n, np.random.default_rng(5))
+        deltas = progress_steps(model, d, theta, b, n, np.random.default_rng(5))
         assert deltas.shape == (n,)
         assert positive.statistic == pytest.approx(deltas.mean(), rel=1e-12, abs=0.0)
         assert positive.margin == pytest.approx(3.0 * deltas.std() / math.sqrt(n), rel=1e-12, abs=0.0)
@@ -150,8 +154,8 @@ class TestProgressMeasureCheck:
         # At a fixed band width the drift scales like (1 - 2 eta).
         theta, d = math.pi / 4, 10
         _, b = mod_perceptron_params(d, theta, 0.1, 1.0)
-        clean = simulate_progress_steps(NoiseModel.realizable(), d, theta, b, 400_000, rng)
-        noisy = simulate_progress_steps(NoiseModel.bounded(0.3), d, theta, b, 400_000, rng)
+        clean = progress_steps(NoiseModel.realizable(), d, theta, b, 400_000, rng)
+        noisy = progress_steps(NoiseModel.bounded(0.3), d, theta, b, 400_000, rng)
         ratio = np.mean(noisy) / np.mean(clean)
         assert np.mean(noisy) > 0
         zeta = 0.4
