@@ -12,10 +12,11 @@ fields of a JSON configuration file (``--config``) come from it. Explicit
 flags override file values, and a setting nobody gives keeps the default of
 the code that reads it. Exit status is 0 iff everything executed passed its
 gate (for verify: every check); a bad flag or config-file value is a usage
-error with exit status 2, and so is a setting whose trials take more than
-``--max-steps`` Perceptron steps (counted from the schedules before the
-first trial). Unlabeled draws are not counted: a step draws its count of
-them as one geometric number, so they cost no work.
+error with exit status 2, and so is a call whose trials take more than
+``--max-steps`` Perceptron steps in all (every trial of every sweep value,
+counted from the schedules before the first trial). Unlabeled draws are not
+counted: a step draws its count of them as one geometric number, so they
+cost no work.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .bench import (
 from .oracles import NoiseModel
 from .verify import all_passed, run_suite
 
-# Perceptron steps per trial above which a setting is refused: about ten
-# minutes at ~0.6 us per step on a 2-core x86 machine.
+# Perceptron steps of a whole call (all its trials) above which it is
+# refused: about ten minutes at ~0.6 us per step on a 2-core x86 machine.
 MAX_STEPS = 1e9
 
 COMMANDS = {
@@ -72,7 +73,7 @@ SETTINGS = {
     "out": (str, tuple(COMMANDS), "CSV output path"),
     "jobs": (int, _TRIALS, "parallel trial workers"),
     "max_steps": (float, _TRIALS,
-                  f"refuse settings whose trials take more Perceptron steps (default {MAX_STEPS:g})"),
+                  f"refuse calls whose trials take more Perceptron steps in all (default {MAX_STEPS:g})"),
     "timing": (bool, _TRIALS,
                "record wall time per row (off by default: timed rows are not byte-reproducible)"),
     "sweep": (str, ("sweep",), "axis=v1,v2,... with axis in " + " | ".join(SWEEP_AXES)),
@@ -190,15 +191,18 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path!r} is not a file in a writable directory")
 
 
-def _check_cost(config: ExperimentConfig, max_steps: float) -> None:
-    """Refuse a configuration whose trials take too many Perceptron steps."""
+def _check_cost(configs: list[ExperimentConfig], max_steps: float) -> None:
+    """Refuse a call whose trials take too many Perceptron steps in all."""
     if not max_steps > 0.0:
         raise ValueError(f"--max-steps must be positive, got {max_steps!r}")
-    steps = steps_per_trial(config)
+    steps = sum(c.trials * steps_per_trial(c) for c in configs)
     if steps > max_steps:
+        c = configs[0]
+        where = (f"d={c.d}, epsilon={c.epsilon:g}" if len(configs) == 1
+                 else f"each of {len(configs)} sweep values")
         raise ValueError(
-            f"a trial at d={config.d}, epsilon={config.epsilon:g} takes "
-            f"{steps:.3g} Perceptron steps, more than --max-steps {max_steps:.3g}"
+            f"{c.trials} trial(s) at {where} take {steps:.3g} Perceptron steps in all, "
+            f"more than --max-steps {max_steps:.3g}"
         )
 
 
@@ -220,9 +224,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError("sweep requires --sweep axis=v1,v2,...")
                 axis, values = parse_sweep(settings["sweep"])
                 configs = [config_for_value(config, axis, value) for value in values]
-            for c in configs:
-                _check_cost(c, settings.get("max_steps", MAX_STEPS))
-    except (OSError, ValueError) as exc:
+            _check_cost(configs, settings.get("max_steps", MAX_STEPS))
+    except (OSError, OverflowError, ValueError) as exc:
         parser.error(str(exc))
 
     if args.command == "verify":

@@ -67,6 +67,12 @@ MIN_EPSILON = 1e-7
 # step's tape row is a few scalars in any dimension.
 TAPE_STEPS = 1 << 13
 
+# The thinnest band an epoch runs on. A step draws its count as one
+# Geometric(p) number into int64, and a chunk sums TAPE_STEPS of them: at
+# p >= 2^-40 a chunk's expected total is at most 2^53, while below p ~ 1e-15
+# it can pass 2^63 and wrap (and below p ~ 1e-19 numpy saturates single draws).
+MIN_BAND_MASS = 2.0**-40
+
 
 def modified_perceptron_step(w, x, y: int) -> np.ndarray:
     """One update: reflect w across x's hyperplane iff y (w . x) < 0 strictly.
@@ -102,7 +108,7 @@ def mod_perceptron_params(
         1 / (10 sqrt(d)) to stay inside the band-mass lower bound's validity.
 
     With scale_m = THEORY_SCALE_M and scale_b = THEORY_SCALE_B these are the
-    exact theory formulas.
+    exact theory formulas. Inputs that make m 0 or overflow are refused.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -112,11 +118,27 @@ def mod_perceptron_params(
         raise ValueError(f"theta must lie in (0, pi], got {theta}")
     if not (0.0 < scale_m < math.inf and 0.0 < scale_b < math.inf):
         raise ValueError("scale factors must be positive and finite")
-    base = scale_m * d / (zeta * zeta)
-    m = math.ceil(base * (math.log(base) + math.log(1.0 / delta)))
-    b = scale_b * theta * zeta / (math.sqrt(d) * math.log(m * m / delta))
+    try:
+        base = scale_m * d / (zeta * zeta)
+        m = math.ceil(base * (math.log(base) + math.log(1.0 / delta)))
+        if m < 1:
+            raise ValueError(f"scale_m = {scale_m:g} leaves m = 0 iterations at d = {d}")
+        b = scale_b * theta * zeta / (math.sqrt(d) * math.log(m * m / delta))
+    except OverflowError:
+        raise ValueError("the iteration count m overflows: d, scale_m or 1 / delta is too large") from None
     b = min(b, 1.0 / (10.0 * math.sqrt(d)))
     return m, b
+
+
+def _epoch_band_mass(d: int, b: float) -> float:
+    """The mass of the band [b/2, b] in R^d, refused below MIN_BAND_MASS."""
+    p = geometry.band_mass(d, b / 2.0, b)
+    if not p >= MIN_BAND_MASS:
+        raise ValueError(
+            f"the band [b/2, b] at d = {d}, b = {b:.3g} has mass {p:.3g}, below the floor "
+            f"{MIN_BAND_MASS:.3g} at which draw counts stay exact"
+        )
+    return p
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -159,7 +181,8 @@ def make_schedule(
 
     Epoch k (of k0 = ceil(log2(1/epsilon))) gets the halving-stage parameters
     for angle bound pi / 2^k at failure budget delta / (k (k+1)), with noise
-    factor zeta = 1 - 2 eta under bounded noise and 1 otherwise.
+    factor zeta = 1 - 2 eta under bounded noise and 1 otherwise. A band
+    of mass below MIN_BAND_MASS is refused.
     """
     _check_epsilon(epsilon)
     if not (0.0 < delta < 1.0):
@@ -169,6 +192,8 @@ def make_schedule(
         mod_perceptron_params(d, math.pi / 2.0**k, delta / (k * (k + 1)), model.zeta, scale_m, scale_b)
         for k in range(1, k0 + 1)
     ))
+    for bk in b:
+        _epoch_band_mass(d, bk)
     return Schedule(epsilon, m, b)
 
 
@@ -226,7 +251,8 @@ def mod_perceptron(
     oracle's generator. The chain over the tape is a pure function of
     (t . w0, e . w0, tape); the returned w then takes its residual direction
     from ``rng``. A step's draw count is one Geometric(p) number, so an
-    epoch costs O(m) whatever the band mass p.
+    epoch costs O(m) whatever the band mass p; a band of mass below
+    MIN_BAND_MASS raises ValueError.
     """
     w = geometry.check_unit(w0, "w0")
     if m < 0:
@@ -239,7 +265,7 @@ def mod_perceptron(
         return w, 0, 0
     d = w.shape[0]
     lower = b / 2.0
-    p = geometry.band_mass(d, lower, b)
+    p = _epoch_band_mass(d, b)
     e, chain = _start_chain(target, w)
     draws = 0
     for done in range(0, m, TAPE_STEPS):

@@ -272,6 +272,9 @@ class TestCli:
         (["--scale-b", "nan"], None),
         (["--out", ""], None),
         ([], {"out": ""}),
+        (["--delta", "1e-320"], None),
+        (["--d", "1" + "0" * 400], None),
+        (["--scale-m", "1e-300"], None),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -308,6 +311,37 @@ class TestCli:
         assert steps_per_trial(small_config(mode="init")) > active
         assert main(["run", "--d", "5", "--epsilon", "0.25", "--trials", "1",
                      "--max-steps", repr(active)]) == 0
+
+    def test_cost_preflight_counts_every_trial(self, capsys):
+        # 1,656 steps per trial at d=10, epsilon=0.05: three trials take
+        # 4,968 steps, two take 3,312.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--d", "10", "--trials", "3", "--max-steps", "4000"])
+        assert exc.value.code == 2
+        assert "3 trial(s)" in capsys.readouterr().err
+        assert main(["run", "--d", "10", "--trials", "2", "--max-steps", "4000"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "100", "--epsilon", "1e-7", "--scale-b", repr(learner.THEORY_SCALE_B)],
+        ["--scale-b", "1e-300"],
+    ])
+    def test_band_below_the_mass_floor_is_a_usage_error(self, capsys, argv):
+        # These used to report wrapped (or negative) unlabeled draw counts.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--trials", "1", "--seed", "1"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "below the floor" in err
+
+    def test_overflowing_sweep_dimension_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--trials", "1", "--sweep", "d=1e300"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
     def test_thin_bands_pass_the_preflight(self):
         # About 8,000 steps that draw about 7e10 unlabeled points: each step

@@ -22,3 +22,31 @@ def test_no_module_imports_another_modules_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+# The literal references the tests compare the engine against; src calls
+# them nowhere else.
+REFERENCES = ("LabeledExampleSource", "modified_perceptron_step", "rejection_sample_band")
+
+
+def unused_public_definitions(modules: list[pathlib.Path]) -> list[str]:
+    """Module-level public functions and classes that no other src
+    definition or statement names in its code. Docstrings are strings, not
+    names, so a mention there does not count."""
+    definitions, named = [], set()
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)  # set on def and class statements only
+            if own is not None and not own.startswith("_"):
+                definitions.append((path.name, own))
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    named.add(name)
+    exempt = named | set(percband.__all__) | set(REFERENCES)
+    return [f"{module}: {name}" for module, name in definitions if name not in exempt]
+
+
+def test_every_public_definition_is_used_exported_or_a_reference():
+    # A public name that only tests call is a test helper living in src.
+    assert unused_public_definitions(sorted(PACKAGE.glob("*.py"))) == []

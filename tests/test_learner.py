@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from percband import geometry
 from percband.geometry import DimensionMismatch, sample_uniform_sphere
 from percband.learner import (
+    MIN_BAND_MASS,
     MIN_EPSILON,
     THEORY_SCALE_B,
     THEORY_SCALE_M,
@@ -148,6 +149,30 @@ class TestSchedule:
     def test_records_epsilon(self):
         assert make_schedule(10, 0.05, 0.1, NoiseModel.realizable()).epsilon == 0.05
 
+    @pytest.mark.parametrize("model", [NoiseModel.realizable(), NoiseModel.bounded(0.49)],
+                             ids=lambda m: m.kind)
+    def test_default_constants_clear_the_band_mass_floor(self, model):
+        for d in (3, 10, 100, 1000, 10000):
+            for epsilon in (1e-3, MIN_EPSILON):
+                sched = make_schedule(d, epsilon, 0.1, model)
+                assert min(geometry.band_mass(d, b / 2.0, b) for b in sched.b) >= MIN_BAND_MASS
+
+    def test_band_below_the_mass_floor_is_refused(self):
+        # The proof's band constant at d = 100 reaches masses near 2e-16,
+        # where a chunk of geometric draw counts would overflow int64.
+        with pytest.raises(ValueError, match="below the floor"):
+            make_schedule(100, MIN_EPSILON, 0.1, NoiseModel.realizable(), scale_b=THEORY_SCALE_B)
+
+    def test_degenerate_iteration_counts_are_refused(self):
+        with pytest.raises(ValueError, match="scale_m = 1e-300"):
+            mod_perceptron_params(10, math.pi / 2, 0.1, 1.0, scale_m=1e-300)
+        with pytest.raises(ValueError, match="overflows"):
+            mod_perceptron_params(10, math.pi / 2, 1e-320, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            mod_perceptron_params(10**400, math.pi / 2, 0.1, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            mod_perceptron_params(int(1e300), math.pi / 2, 0.1, 1.0)
+
 
 def run_stage(model, seed, theta0=math.pi / 4, d=5, delta=0.1):
     gen = np.random.default_rng(seed)
@@ -170,6 +195,14 @@ class TestModPerceptron:
         w0 = sample_uniform_sphere(5, rng)
         w, labels, draws = mod_perceptron(oracle, w0, 0, 0.1, rng)
         assert np.array_equal(w, w0) and labels == 0 and draws == 0
+
+    def test_band_below_the_mass_floor_is_refused(self, rng):
+        # Its draw counts would wrap in int64 instead of being returned.
+        oracle = LabelingOracle(sample_uniform_sphere(5, rng), NoiseModel.realizable(), rng)
+        w0 = sample_uniform_sphere(5, rng)
+        with pytest.raises(ValueError, match="below the floor"):
+            mod_perceptron(oracle, w0, 1, 1e-300, rng)
+        assert oracle.queries == 0
 
     def test_median_halving_realizable(self):
         angles = [run_stage(NoiseModel.realizable(), s) for s in range(50)]
