@@ -29,6 +29,7 @@ from .learner import (
     RunReport,
     Schedule,
     active_perceptron,
+    check_band_floor,
     make_schedule,
 )
 from .oracles import LabelingOracle, NoiseModel
@@ -146,6 +147,15 @@ def steps_per_trial(config: ExperimentConfig) -> int:
     if config.mode == "init":
         steps += 2 * sum(_branch_schedule(config).m)
     return steps
+
+
+def check_bands(config: ExperimentConfig) -> None:
+    """Refuse a configuration whose schedules hold a band of mass below
+    learner.MIN_BAND_MASS. A band mass costs O(d), so the CLI calls this
+    only after its step count has bounded d."""
+    check_band_floor(config.d, _schedule(config))
+    if config.mode == "init":
+        check_band_floor(config.d, _branch_schedule(config))
 
 
 def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> TrialRow:

@@ -35,6 +35,7 @@ from .bench import (
     MODES,
     SWEEP_AXES,
     ExperimentConfig,
+    check_bands,
     config_for_value,
     run_single,
     run_sweep,
@@ -162,6 +163,8 @@ def _typed(name: str, value):
     """A config-file value checked against the type of its setting."""
     kind = SETTINGS[name][0]
     if kind is float and type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"config file field {name!r} is too large, got {value!r}")
         value = float(value)
     if type(value) is not kind:
         raise ValueError(f"config file field {name!r} must be {kind.__name__}, got {value!r}")
@@ -201,7 +204,7 @@ def _check_cost(configs: list[ExperimentConfig], max_steps: float) -> None:
         where = (f"d={c.d}, epsilon={c.epsilon:g}" if len(configs) == 1
                  else f"each of {len(configs)} sweep values")
         raise ValueError(
-            f"{c.trials} trial(s) at {where} take {steps:.3g} Perceptron steps in all, "
+            f"{c.trials} trial(s) at {where} take {steps:,} Perceptron steps in all, "
             f"more than --max-steps {max_steps:.3g}"
         )
 
@@ -225,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
                 axis, values = parse_sweep(settings["sweep"])
                 configs = [config_for_value(config, axis, value) for value in values]
             _check_cost(configs, settings.get("max_steps", MAX_STEPS))
-    except (OSError, OverflowError, ValueError) as exc:
+            for c in configs:
+                check_bands(c)
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
     if args.command == "verify":

@@ -181,8 +181,7 @@ def make_schedule(
 
     Epoch k (of k0 = ceil(log2(1/epsilon))) gets the halving-stage parameters
     for angle bound pi / 2^k at failure budget delta / (k (k+1)), with noise
-    factor zeta = 1 - 2 eta under bounded noise and 1 otherwise. A band
-    of mass below MIN_BAND_MASS is refused.
+    factor zeta = 1 - 2 eta under bounded noise and 1 otherwise.
     """
     _check_epsilon(epsilon)
     if not (0.0 < delta < 1.0):
@@ -192,9 +191,17 @@ def make_schedule(
         mod_perceptron_params(d, math.pi / 2.0**k, delta / (k * (k + 1)), model.zeta, scale_m, scale_b)
         for k in range(1, k0 + 1)
     ))
-    for bk in b:
-        _epoch_band_mass(d, bk)
     return Schedule(epsilon, m, b)
+
+
+def check_band_floor(d: int, schedule: Schedule) -> None:
+    """Refuse a schedule with a band of mass below MIN_BAND_MASS.
+
+    A band mass takes O(d) time and memory, so a caller that also bounds
+    the steps of a run checks them first.
+    """
+    for b in schedule.b:
+        _epoch_band_mass(d, b)
 
 
 @dataclass(frozen=True)

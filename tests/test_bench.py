@@ -275,6 +275,8 @@ class TestCli:
         (["--delta", "1e-320"], None),
         (["--d", "1" + "0" * 400], None),
         (["--scale-m", "1e-300"], None),
+        (["--trials", "1" + "0" * 400], None),
+        ([], {"delta": 10**400}),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -293,6 +295,9 @@ class TestCli:
         ["run", "--scale-m", repr(learner.THEORY_SCALE_M), "--scale-b", repr(learner.THEORY_SCALE_B)],
         ["init-run", "--scale-m", "3e11"],
         ["sweep", "--sweep", "epsilon=0.4,0.05", "--max-steps", "1000"],
+        # A band mass takes O(d) memory: the cost check must come first.
+        ["run", "--d", "1000000000000"],
+        ["sweep", "--sweep", "d=1e12"],
     ])
     def test_absurd_cost_is_refused_before_running(self, capsys, argv):
         start = time.perf_counter()
@@ -334,6 +339,13 @@ class TestCli:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "below the floor" in err
+
+    def test_band_floor_covers_init_branch_runs(self):
+        # At epsilon = 0.4 the branch runs' target 1/16 takes more epochs
+        # than the main run, so only their thinnest band is below the floor.
+        bench.check_bands(small_config(d=10, epsilon=0.4, scale_b=2e-10))
+        with pytest.raises(ValueError, match="below the floor"):
+            bench.check_bands(small_config(mode="init", d=10, epsilon=0.4, scale_b=2e-10))
 
     def test_overflowing_sweep_dimension_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

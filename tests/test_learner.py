@@ -14,6 +14,7 @@ from percband.learner import (
     THEORY_SCALE_M,
     Schedule,
     active_perceptron,
+    check_band_floor,
     make_schedule,
     mod_perceptron,
     mod_perceptron_params,
@@ -160,8 +161,11 @@ class TestSchedule:
     def test_band_below_the_mass_floor_is_refused(self):
         # The proof's band constant at d = 100 reaches masses near 2e-16,
         # where a chunk of geometric draw counts would overflow int64.
+        # Building the schedule computes no band mass; the check does.
+        sched = make_schedule(100, MIN_EPSILON, 0.1, NoiseModel.realizable(), scale_b=THEORY_SCALE_B)
         with pytest.raises(ValueError, match="below the floor"):
-            make_schedule(100, MIN_EPSILON, 0.1, NoiseModel.realizable(), scale_b=THEORY_SCALE_B)
+            check_band_floor(100, sched)
+        check_band_floor(100, make_schedule(100, MIN_EPSILON, 0.1, NoiseModel.realizable()))
 
     def test_degenerate_iteration_counts_are_refused(self):
         with pytest.raises(ValueError, match="scale_m = 1e-300"):
