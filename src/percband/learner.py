@@ -110,6 +110,8 @@ def mod_perceptron_params(
     With scale_m = THEORY_SCALE_M and scale_b = THEORY_SCALE_B these are the
     exact theory formulas. Inputs that make m 0 or overflow are refused.
     """
+    if d < geometry.MIN_DIMENSION:
+        raise geometry.DimensionMismatch(f"dimension must be >= {geometry.MIN_DIMENSION}, got {d}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not (0.0 < zeta <= 1.0):

@@ -177,6 +177,15 @@ class TestSchedule:
         with pytest.raises(ValueError, match="overflows"):
             mod_perceptron_params(int(1e300), math.pi / 2, 0.1, 1.0)
 
+    @pytest.mark.parametrize("d", [0, -3, 2])
+    def test_dimension_below_three_is_refused(self, d):
+        # It used to fail on log(base) with "math domain error", or at d = 2
+        # return a stage the band masses cannot serve.
+        with pytest.raises(DimensionMismatch):
+            mod_perceptron_params(d, math.pi / 2, 0.1, 1.0)
+        with pytest.raises(DimensionMismatch):
+            make_schedule(d, 0.1, 0.1, NoiseModel.realizable())
+
 
 def run_stage(model, seed, theta0=math.pi / 4, d=5, delta=0.1):
     gen = np.random.default_rng(seed)
