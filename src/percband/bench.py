@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -66,14 +66,30 @@ class ExperimentConfig:
             raise ValueError(f"d must be >= {geometry.MIN_DIMENSION}, got {self.d}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        # The schedules a trial runs check epsilon, delta and the scale factors.
-        _schedule(self)
+        # Building the schedules a trial runs checks epsilon, delta and the
+        # scale factors; the instance keeps them.
+        self.schedule
         if self.mode == "init":
-            _branch_schedule(self)
+            self.branch_schedule
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
+    # Built once per configuration and kept on the instance (a frozen
+    # dataclass has a __dict__, and it pickles to pool workers with it).
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The epoch schedule of the trial's run."""
+        return make_schedule(
+            self.d, self.epsilon, self.delta, self.noise,
+            scale_m=self.scale_m, scale_b=self.scale_b,
+        )
+
+    @cached_property
+    def branch_schedule(self) -> Schedule:
+        """The schedule of init mode's two branch runs."""
+        return branch_schedule(self.d, self.noise, self.delta, self.scale_m, self.scale_b)
 
 
 @dataclass(frozen=True)
@@ -129,23 +145,12 @@ def _acute_start(target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return v0 if float(v0 @ target) >= 0.0 else -v0
 
 
-def _schedule(config: ExperimentConfig) -> Schedule:
-    return make_schedule(
-        config.d, config.epsilon, config.delta, config.noise,
-        scale_m=config.scale_m, scale_b=config.scale_b,
-    )
-
-
-def _branch_schedule(config: ExperimentConfig) -> Schedule:
-    return branch_schedule(config.d, config.noise, config.delta, config.scale_m, config.scale_b)
-
-
 def steps_per_trial(config: ExperimentConfig) -> int:
     """Perceptron steps of one trial (sum of m_k), from the schedules alone;
     init mode adds its two branch runs."""
-    steps = sum(_schedule(config).m)
+    steps = sum(config.schedule.m)
     if config.mode == "init":
-        steps += 2 * sum(_branch_schedule(config).m)
+        steps += 2 * sum(config.branch_schedule.m)
     return steps
 
 
@@ -153,9 +158,9 @@ def check_bands(config: ExperimentConfig) -> None:
     """Refuse a configuration whose schedules hold a band of mass below
     learner.MIN_BAND_MASS. A band mass costs O(d), so the CLI calls this
     only after its step count has bounded d."""
-    check_band_floor(config.d, _schedule(config))
+    check_band_floor(config.d, config.schedule)
     if config.mode == "init":
-        check_band_floor(config.d, _branch_schedule(config))
+        check_band_floor(config.d, config.branch_schedule)
 
 
 def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> TrialRow:
@@ -167,19 +172,16 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
 
     target = geometry.sample_uniform_sphere(config.d, rng_plant)
     oracle = LabelingOracle(target, config.noise, np.random.default_rng(oracle_ss))
-    schedule = _schedule(config)
 
     start = time.perf_counter()
     labels = draws = 0
     if config.mode == "init":
-        init = acute_initialize(
-            oracle, config.delta, rng_sampler, scale_m=config.scale_m, scale_b=config.scale_b
-        )
+        init = acute_initialize(oracle, config.delta, rng_sampler, schedule=config.branch_schedule)
         labels, draws, v0 = init.total_labels, init.total_unlabeled, init.vector
     else:
         v0 = _acute_start(target, rng_plant)
     report = active_perceptron(
-        oracle, v0, schedule, rng_sampler, charge_rejected=config.mode == "passive"
+        oracle, v0, config.schedule, rng_sampler, charge_rejected=config.mode == "passive"
     )
     elapsed = time.perf_counter() - start
 

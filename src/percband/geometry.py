@@ -36,6 +36,11 @@ CHUNK_BYTES = 1 << 20
 # temporaries a point takes about eight float64 words.
 CHUNK_POINTS = CHUNK_BYTES // 64
 
+# Terms per run of a band-mass series (a quarter of CHUNK_BYTES per array).
+# A lower-mass series has about d/2 terms and an upper-tail one at most
+# about 5 d, so up to d of about 6,500 every series fits one run.
+SERIES_TERMS = CHUNK_BYTES // 32
+
 
 class DimensionMismatch(ValueError):
     """Operands live in different (or unsupported) ambient dimensions."""
@@ -171,25 +176,56 @@ def _band_mass(d: int, lower: float, upper: float) -> float:
     return _series_sum(d, lower, k + 1, n) - _series_sum(d, upper, k + 1, n)
 
 
+def _series_sum(d: int, z: float, start: int, stop: int) -> float:
+    """t_start + ... + t_stop at z, plus e asin(z)/pi if start is 0. q^i is
+    exp(i log1p(-z^2)), as q^i of a rounded q would be off by i ulps. The
+    terms are summed ``SERIES_TERMS`` at a time, so memory stays bounded in
+    any dimension."""
+    if z >= 1.0:
+        return 0.5 if start == 0 else 0.0
+    even = d % 2 == 0
+    log_q = math.log1p(-z * z)
+    total = 0.0
+    for first, factors in _factor_chunks(d, stop):
+        lo = max(first, start)
+        if lo < first + factors.size:
+            powers = np.exp(np.arange(lo, first + factors.size) * log_q)
+            total += float(powers.dot(factors[lo - first :]))
+    t0 = z * math.sqrt((1.0 - z) * (1.0 + z)) / math.pi if even else 0.5 * z
+    head = math.asin(z) / math.pi if even and start == 0 else 0.0
+    return head + t0 * total
+
+
+def _factor_chunks(d: int, n: int):
+    """(i0, f) pairs with f[j] = t_(i0+j) / (t_0 q^(i0+j)), covering 0 <= i <= n
+    in runs of at most ``SERIES_TERMS``. Each run carries on the running
+    product of the one before, so every factor has the same bits as in one
+    run."""
+    if n < SERIES_TERMS:
+        yield 0, _series_factors(d, n)
+        return
+    carry = 1.0
+    for first in range(0, n + 1, SERIES_TERMS):
+        run = _factor_run(d, carry, first, min(first + SERIES_TERMS, n + 1))
+        yield first, run
+        carry = float(run[-1])
+
+
 @functools.lru_cache(maxsize=16)
 def _series_factors(d: int, n: int) -> np.ndarray:
-    """t_i / (t_0 q^i) for 0 <= i <= n, read-only: the cache shares it."""
-    m = 2.0 * np.arange(1, n + 1) + (d % 2 == 0)
-    factors = np.cumprod(np.concatenate(([1.0], (m - 1.0) / m)))
+    """The factors of a series that fits one run (n < SERIES_TERMS), read-only:
+    the cache shares them. It holds at most 16 * 8 * SERIES_TERMS bytes."""
+    factors = _factor_run(d, 1.0, 0, n + 1)
     factors.flags.writeable = False
     return factors
 
 
-def _series_sum(d: int, z: float, start: int, stop: int) -> float:
-    """t_start + ... + t_stop at z, plus e asin(z)/pi if start is 0. q^i is
-    exp(i log1p(-z^2)), as q^i of a rounded q would be off by i ulps."""
-    if z >= 1.0:
-        return 0.5 if start == 0 else 0.0
-    even = d % 2 == 0
-    powers = np.exp(np.arange(start, stop + 1) * math.log1p(-z * z))
-    t0 = z * math.sqrt((1.0 - z) * (1.0 + z)) / math.pi if even else 0.5 * z
-    head = math.asin(z) / math.pi if even and start == 0 else 0.0
-    return head + t0 * float(powers.dot(_series_factors(d, stop)[start:]))
+def _factor_run(d: int, carry: float, first: int, stop: int) -> np.ndarray:
+    """t_i / (t_0 q^i) for first <= i < stop, from carry, that ratio at
+    i = first - 1 (1 when first is 0)."""
+    m = 2.0 * np.arange(max(first, 1), stop) + (d % 2 == 0)
+    run = np.cumprod(np.concatenate(([carry], (m - 1.0) / m)))
+    return run if first == 0 else run[1:]
 
 
 def sample_margins(
@@ -199,19 +235,22 @@ def sample_margins(
 
     The density on [lower, upper] is proportional to (1 - z^2)^((d-3)/2),
     which is monotone decreasing there (0 <= lower), so rejection against
-    the uniform envelope with ceiling at z = lower is exact.
+    the uniform envelope with ceiling at z = lower is exact. The acceptance
+    ratio is taken as one power of (1 - z^2) / (1 - lower^2): in high d the
+    ceiling alone underflows to 0 far from the equator, and every candidate
+    would pass.
     """
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError(f"invalid interval [{lower}, {upper}]")
     count = int(n)
     expo = (d - 3) / 2.0
-    ceiling = (1.0 - lower * lower) ** expo
+    q_lower = 1.0 - lower * lower
     out = np.empty(count)
     filled = 0
     while filled < count:
         todo = count - filled
         cand = rng.uniform(lower, upper, size=todo)
-        accept = rng.random(todo) * ceiling <= (1.0 - cand * cand) ** expo
+        accept = rng.random(todo) <= ((1.0 - cand * cand) / q_lower) ** expo
         kept = cand[accept]
         out[filled : filled + kept.size] = kept
         filled += kept.size

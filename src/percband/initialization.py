@@ -99,18 +99,20 @@ def acute_initialize(
     oracle: LabelingOracle,
     delta: float,
     rng: np.random.Generator,
-    scale_m: float = DEFAULT_SCALE_M,
-    scale_b: float = DEFAULT_SCALE_B,
+    schedule: Schedule | None = None,
 ) -> InitResult:
     """Return a vector within pi/4 of the oracle's target with prob >= 1 - delta.
 
-    The dimension and the noise model are the oracle's. The returned vector
-    is always one of the two branch outputs. If the two branches land on
-    (anti)parallel vectors the disagreement region is empty up to measure
-    zero and the positive branch is returned outright.
+    The dimension and the noise model are the oracle's. The branch runs
+    follow ``schedule``, by default :func:`branch_schedule` of the oracle's
+    dimension and noise model and delta. The returned vector is always one
+    of the two branch outputs. If the two branches land on (anti)parallel
+    vectors the disagreement region is empty up to measure zero and the
+    positive branch is returned outright.
     """
     d, model = oracle.dimension, oracle.model
-    schedule = branch_schedule(d, model, delta, scale_m, scale_b)
+    if schedule is None:
+        schedule = branch_schedule(d, model, delta)
     e1 = np.zeros(d)
     e1[0] = 1.0
 

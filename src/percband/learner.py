@@ -199,8 +199,8 @@ def make_schedule(
 def check_band_floor(d: int, schedule: Schedule) -> None:
     """Refuse a schedule with a band of mass below MIN_BAND_MASS.
 
-    A band mass takes O(d) time and memory, so a caller that also bounds
-    the steps of a run checks them first.
+    A band mass takes O(d) time, so a caller that also bounds the steps of
+    a run checks them first.
     """
     for b in schedule.b:
         _epoch_band_mass(d, b)

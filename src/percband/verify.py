@@ -11,6 +11,7 @@ loose enough (~0.3% false-failure rate per check) not to trip on luck.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +264,16 @@ def check_progress_measure(
 
 
 def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
-    """Run the full verification suite deterministically from a master seed."""
+    """Run the full verification suite deterministically from a master seed.
+
+    The checks draw from three generators spawned from the seed: one for the
+    error/angle pairs, one for the conditional moments and one for the
+    progress steps. The moment and progress checks run on a helper thread
+    while this thread runs the error/angle and band-mass checks; numpy
+    releases the GIL in its generator fills and large loops, so the halves
+    overlap. Each generator belongs to one thread, so every draw is the same
+    as in one thread and the results come back in the same order.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     children = np.random.SeedSequence(seed).spawn(3)
@@ -271,24 +281,38 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
     rng_moments = np.random.default_rng(children[1])
     rng_progress = np.random.default_rng(children[2])
 
-    results: list[CheckResult] = []
-    results += check_error_angle_relation(10, 20, n_samples, rng_pairs)
+    # A daemon thread that keeps its result or its exception: the caller
+    # re-raises the exception, and an interrupted caller exits without
+    # waiting for the thread.
+    outcome: list = []
+
+    def moments_and_progress() -> None:
+        try:
+            rest = check_conditional_moments(
+                20, [math.pi / 8.0, math.pi / 4.0], n_samples, rng_moments
+            )
+            theta = math.pi / 4.0
+            for model in (
+                NoiseModel.realizable(),
+                NoiseModel.bounded(0.3),
+                NoiseModel.adversarial(theta / 200.0),
+            ):
+                rest += check_progress_measure(model, 10, theta, n_samples, rng_progress)
+            outcome.append(rest)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    helper = threading.Thread(target=moments_and_progress, daemon=True)
+    helper.start()
+    results = check_error_angle_relation(10, 20, n_samples, rng_pairs)
     results += check_band_mass_bound(
         [3, 10, 50, 100], [0.005, 0.01, 0.0316, 0.05, 0.2]
     )
-    results += check_conditional_moments(
-        20, [math.pi / 8.0, math.pi / 4.0], n_samples, rng_moments
-    )
-    theta = math.pi / 4.0
-    for model in (
-        NoiseModel.realizable(),
-        NoiseModel.bounded(0.3),
-        NoiseModel.adversarial(theta / 200.0),
-    ):
-        results += check_progress_measure(
-            model, 10, theta, n_samples, rng_progress
-        )
-    return results
+    helper.join()
+    (rest,) = outcome
+    if isinstance(rest, BaseException):
+        raise rest
+    return results + rest
 
 
 def all_passed(results: list[CheckResult]) -> bool:

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import percband
-from percband import bench, geometry, learner
+from percband import bench, geometry, initialization, learner
 from percband.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -138,6 +138,19 @@ class TestRunSingle:
         # Refused when the config is built, by the schedules it would run.
         with pytest.raises(ValueError, match="scale factors must be positive and finite"):
             ExperimentConfig(mode=mode, **scales)
+
+    @pytest.mark.parametrize("command,built", [("run", 1), ("init-run", 2)])
+    def test_each_schedule_is_built_once_per_call(self, monkeypatch, tmp_path, command, built):
+        # The config keeps its schedules: the cost preflight, the band-floor
+        # check and every trial (init's branch runs included) read them.
+        calls = []
+        make = learner.make_schedule
+        for module in (bench, initialization):
+            monkeypatch.setattr(module, "make_schedule", lambda *a, **k: calls.append(1) or make(*a, **k))
+        out = tmp_path / "run.csv"
+        assert main([command, "--d", "5", "--epsilon", "0.25", "--trials", "3", "--out", str(out)]) == 0
+        assert len(calls) == built
+        assert len(out.read_text().splitlines()) == 4
 
     def test_init_mode_accounts_for_preamble(self):
         rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))

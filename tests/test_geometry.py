@@ -260,6 +260,14 @@ class TestBandMass:
         inner = band_mass(d, lo, hi)
         assert band_mass(d, grow_lo, grow_hi) >= inner - 1e-12
 
+    def test_memory_is_bounded_in_high_dimension(self):
+        # A series of about d/2 terms is summed in runs of SERIES_TERMS, so
+        # its peak does not grow with d; one d-long array would take 40 MB.
+        d, lo, hi = 10_000_000, 1e-5, 2e-5
+        mass, peak = traced_peak_bytes(lambda: band_mass(d, lo, hi))
+        assert peak < 4 * geometry.CHUNK_BYTES
+        assert mass == pytest.approx(band_mass_reference(d, lo, hi), rel=1e-10, abs=0.0)
+
     def test_conditional_density_normalization(self):
         # The slice-conditional density of one coordinate given another equal
         # to b integrates to 1 with normalizer (1-b^2)^((d-3)/2) B((d-2)/2, 1/2)
@@ -271,6 +279,26 @@ class TestBandMass:
                 lambda z: (1 - b * b - z * z) ** ((d - 4) / 2.0) / norm, -lim, lim
             )
             assert val == pytest.approx(1.0, rel=1e-8)
+
+
+class TestSampleMargins:
+    def test_mean_far_from_the_equator(self, rng):
+        # At d = 10,000 the density at z = 0.5 is 0.75^4998.5 of its peak, far
+        # below the smallest double, yet the law restricted to [0.5, 0.6]
+        # is well defined: nearly exponential with mean 0.50015. The exact
+        # mean comes from quadrature of the log-density shifted to 0 at 0.5.
+        d, lo, hi, n = 10_000, 0.5, 0.6, 5000
+        expo = (d - 3) / 2.0
+
+        def density(z):
+            return math.exp(expo * (math.log1p(-z * z) - math.log1p(-lo * lo)))
+
+        quad = dict(epsabs=0.0, epsrel=1e-12, limit=200, points=[lo + 1e-3])
+        mass, _ = integrate.quad(density, lo, hi, **quad)
+        first, _ = integrate.quad(lambda z: z * density(z), lo, hi, **quad)
+        xs = geometry.sample_margins(d, lo, hi, rng, n)
+        assert xs.min() >= lo and xs.max() <= hi
+        assert abs(xs.mean() - first / mass) <= 4.0 * xs.std() / math.sqrt(n)
 
 
 class TestRejectionSampleBand:

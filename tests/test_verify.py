@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +194,63 @@ class TestSuite:
         path = tmp_path / "verify.csv"
         bench.write_verify_csv(str(path), run_suite(seed=0, n_samples=20_000))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_20K_SHA256
+
+    def test_threads_match_the_checks_in_one_thread(self):
+        # run_suite overlaps two halves on two threads; each owns its
+        # generators, so the results equal the checks run one after another
+        # on the same three spawned generators. A generator shared across
+        # the threads would interleave its draws and break this.
+        seed, n, theta = 7, 20_000, math.pi / 4
+        pairs, moments, progress = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+        expected = check_error_angle_relation(10, 20, n, pairs)
+        expected += check_band_mass_bound([3, 10, 50, 100], [0.005, 0.01, 0.0316, 0.05, 0.2])
+        expected += check_conditional_moments(20, [math.pi / 8, math.pi / 4], n, moments)
+        for model in (NoiseModel.realizable(), NoiseModel.bounded(0.3), NoiseModel.adversarial(theta / 200)):
+            expected += check_progress_measure(model, 10, theta, n, progress)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            results = run_suite(seed, n)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(map(repr, results)) == list(map(repr, expected))
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        error = RuntimeError("progress check failed")
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(verify, "check_progress_measure", fail)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_suite(0, 1000)
+        assert excinfo.value is error
+
+    def test_interrupted_caller_does_not_wait_for_the_helper(self, monkeypatch):
+        started, release, helpers = threading.Event(), threading.Event(), []
+
+        def blocked(*args):
+            helpers.append(threading.current_thread())
+            started.set()
+            release.wait(60)
+            return []
+
+        def interrupted(*args):
+            started.wait(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "check_conditional_moments", blocked)
+        monkeypatch.setattr(verify, "check_error_angle_relation", interrupted)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_suite(0, 1000)
+            # Still running, and a daemon: interpreter exit does not join it.
+            assert [(h.is_alive(), h.daemon) for h in helpers] == [(True, True)]
+        finally:
+            release.set()
+            for helper in helpers:
+                helper.join(60)
+        assert not any(h.is_alive() for h in helpers)
 
     def test_lines_are_formatted(self):
         results = run_suite(seed=1, n_samples=20_000)
