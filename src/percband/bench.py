@@ -62,12 +62,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.d < geometry.MIN_DIMENSION:
-            raise ValueError(f"d must be >= {geometry.MIN_DIMENSION}, got {self.d}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        # Building the schedules a trial runs checks epsilon, delta and the
-        # scale factors; the instance keeps them.
+        # Building the schedules a trial runs checks d, epsilon, delta and
+        # the scale factors; the instance keeps them.
         self.schedule
         if self.mode == "init":
             self.branch_schedule

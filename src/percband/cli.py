@@ -63,8 +63,6 @@ SETTINGS = {
     "mode": (str, ("run", "sweep"), "trial mode: " + " | ".join(MODES)),
     "d": (int, _TRIALS, "ambient dimension (>= 3)"),
     "noise": (str, _TRIALS, "realizable | bounded:ETA | bounded_margin:ETA:M | adversarial:NU"),
-    "eta": (float, _TRIALS, "shortcut: bounded noise level"),
-    "nu": (float, _TRIALS, "shortcut: adversarial noise level"),
     "epsilon": (float, _TRIALS, "target error"),
     "delta": (float, _TRIALS, "failure probability"),
     "trials": (int, _TRIALS, "seeded trials per setting"),
@@ -180,11 +178,7 @@ def build_config(command: str, settings: dict) -> ExperimentConfig:
         kwargs["noise"] = parse_noise(kwargs["noise"])
     if command == "init-run":
         kwargs["mode"] = "init"
-    config = ExperimentConfig(**kwargs)
-    for axis in ("eta", "nu"):
-        if axis in settings:
-            config = config_for_value(config, axis, settings[axis])
-    return config
+    return ExperimentConfig(**kwargs)
 
 
 def _check_out(path: str) -> None:

@@ -201,23 +201,11 @@ def _factor_chunks(d: int, n: int):
     in runs of at most ``SERIES_TERMS``. Each run carries on the running
     product of the one before, so every factor has the same bits as in one
     run."""
-    if n < SERIES_TERMS:
-        yield 0, _series_factors(d, n)
-        return
     carry = 1.0
     for first in range(0, n + 1, SERIES_TERMS):
         run = _factor_run(d, carry, first, min(first + SERIES_TERMS, n + 1))
         yield first, run
         carry = float(run[-1])
-
-
-@functools.lru_cache(maxsize=16)
-def _series_factors(d: int, n: int) -> np.ndarray:
-    """The factors of a series that fits one run (n < SERIES_TERMS), read-only:
-    the cache shares them. It holds at most 16 * 8 * SERIES_TERMS bytes."""
-    factors = _factor_run(d, 1.0, 0, n + 1)
-    factors.flags.writeable = False
-    return factors
 
 
 def _factor_run(d: int, carry: float, first: int, stop: int) -> np.ndarray:

@@ -11,6 +11,9 @@ unit vector u, with sign(0) := +1. Three corruption regimes are supported:
 * ``adversarial`` - a fixed, deterministic corruption: labels are inverted
   exactly on the slab |u . x| <= tau, with tau chosen so the corrupted mass
   equals nu. Total disagreement with sign(u . x) is then exactly nu.
+
+Every regime is one law: a label flips iff its coin from :func:`flip_coins`
+is set and |u . x| is at most :func:`flip_radius`.
 """
 
 from __future__ import annotations
@@ -104,47 +107,27 @@ def _adversarial_threshold(d: int, nu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _flip_coins(model: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
+def flip_coins(model: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
     """Per-label corruption coins for the next n labels.
 
     Under the bounded kinds each label gets a Bernoulli(eta) coin, one
     uniform from ``rng`` per label (the only draws the label law makes);
     otherwise the coin is constant and nothing is drawn. A coin flips its
-    label iff |u . x| is at most :func:`_flip_radius`.
+    label iff |u . x| is at most :func:`flip_radius`.
     """
     if model.kind in ("bounded", "bounded_margin"):
         return rng.random(n) < model.eta
     return np.full(n, model.kind == "adversarial" and model.nu > 0.0)
 
 
-def _flip_radius(model: NoiseModel, tau: float | None) -> float:
-    """The largest |u . x| at which a coin from :func:`_flip_coins` flips a label."""
+def flip_radius(model: NoiseModel, d: int) -> float:
+    """The largest |u . x| in R^d at which a coin from :func:`flip_coins`
+    flips a label: the margin, the adversarial slab's half-width, or inf."""
     if model.kind == "bounded_margin":
         return model.margin
     if model.kind == "adversarial":
-        if tau is None:
-            raise ValueError("adversarial labels need the slab threshold tau")
-        return tau
+        return adversarial_threshold(d, model.nu)
     return math.inf
-
-
-def labels_from_dots(
-    model: NoiseModel,
-    dots: np.ndarray,
-    rng: np.random.Generator,
-    tau: float | None = None,
-) -> np.ndarray:
-    """Vectorized label law: labels for points whose margins u . x are ``dots``.
-
-    ``LabelingOracle`` labels points with the same law and the same
-    generator draws. ``tau`` is required for the adversarial model (see
-    :func:`adversarial_threshold`).
-    """
-    dots = np.asarray(dots, dtype=np.float64)
-    radius = _flip_radius(model, tau)
-    clean = np.where(dots >= 0.0, 1, -1).astype(np.int8)
-    flip = _flip_coins(model, rng, dots.size).reshape(dots.shape) & (np.abs(dots) <= radius)
-    return np.where(flip, -clean, clean)
 
 
 class LabelingOracle:
@@ -159,11 +142,7 @@ class LabelingOracle:
         self.model = model
         self.rng = rng
         self._queries = 0
-        self._tau = (
-            adversarial_threshold(self.target.shape[0], model.nu)
-            if model.kind == "adversarial"
-            else None
-        )
+        self._radius = flip_radius(model, self.target.shape[0])
 
     @property
     def dimension(self) -> int:
@@ -177,14 +156,14 @@ class LabelingOracle:
     @property
     def slab_threshold(self) -> float | None:
         """Adversarial corruption half-width tau, if applicable."""
-        return self._tau
+        return self._radius if self.model.kind == "adversarial" else None
 
     def query(self, x) -> int:
         """Return a label in {-1, +1} for ``x``; increments the counter by 1."""
         xv = geometry.check_unit(x, "query point")
         geometry.check_same_dimension(xv, self.target)
         self._queries += 1
-        return int(labels_from_dots(self.model, self.target.dot(xv), self.rng, self._tau))
+        return int(self._labels(self.target.dot(xv)))
 
     def query_batch(self, points: np.ndarray) -> np.ndarray:
         """Labels for an (n, d) array of unit points; increments the counter by n."""
@@ -194,16 +173,22 @@ class LabelingOracle:
                 f"expected shape (n, {self.dimension}), got {pts.shape}"
             )
         self._queries += pts.shape[0]
-        return labels_from_dots(self.model, pts @ self.target, self.rng, self._tau)
+        return self._labels(pts @ self.target)
+
+    def _labels(self, dots) -> np.ndarray:
+        """Labels of points whose margins u . x are ``dots``, drawing their coins."""
+        coins = flip_coins(self.model, self.rng, dots.size).reshape(dots.shape)
+        clean = np.where(dots >= 0.0, 1, -1).astype(np.int8)
+        return np.where(coins & (np.abs(dots) <= self._radius), -clean, clean)
 
     def flip_tape(self, n: int) -> tuple[np.ndarray, float]:
         """Corruption coins for the next n labels and the radius they act within.
 
         Label i of a point x is the clean sign(u . x), flipped iff coins[i]
         and |u . x| <= radius. Draws from the oracle's generator exactly what
-        :func:`labels_from_dots` draws for n labels; charges nothing.
+        n calls of :meth:`query` draw; charges nothing.
         """
-        return _flip_coins(self.model, self.rng, n), _flip_radius(self.model, self._tau)
+        return flip_coins(self.model, self.rng, n), self._radius
 
     def charge_queries(self, n: int) -> None:
         """Account for ``n`` labeled examples consumed without materializing them.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .learner import mod_perceptron_params
-from .oracles import NoiseModel, adversarial_threshold, labels_from_dots
+from .oracles import NoiseModel, flip_coins, flip_radius
 
 
 @dataclass(frozen=True)
@@ -199,18 +199,20 @@ def _progress_chunks(
     sqrt(1 - xi^2) sin(theta_t) t, with t the orthogonal-sphere marginal),
     labels it by the noise law, and yields the exact change of cos(angle)
     the reflection update would produce: -2 * 1{y (w.x) < 0} (w.x)(u.x).
+    The margin w.x = xi is positive, so the update fires iff the label is -1:
+    iff (u.x >= 0) equals the flip, as in ``learner._run_chain``.
     Each chunk draws its angles, its margins, its orthogonal-sphere
     coordinates, then its label coins.
     """
-    tau = adversarial_threshold(d, model.nu) if model.kind == "adversarial" else None
+    radius = flip_radius(model, d)
     for start in range(0, n_steps, geometry.CHUNK_POINTS):
         count = min(geometry.CHUNK_POINTS, n_steps - start)
         theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=count)
         xi = geometry.sample_margins(d, b / 2.0, b, rng, n=count)
         t = geometry.sphere_coordinates(d - 1, 1, rng, count)[0]
         u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
-        ys = labels_from_dots(model, u_dot_x, rng, tau)
-        yield np.where(ys * xi < 0.0, -2.0 * xi * u_dot_x, 0.0)
+        flips = flip_coins(model, rng, count) & (np.abs(u_dot_x) <= radius)
+        yield np.where((u_dot_x >= 0.0) == flips, -2.0 * xi * u_dot_x, 0.0)
 
 
 def check_progress_measure(

@@ -173,6 +173,8 @@ class TestSweep:
         cfg = small_config()
         assert config_for_value(cfg, "d", 8).d == 8
         assert config_for_value(cfg, "eta", 0.2).noise == NoiseModel.bounded(0.2)
+        margin_cfg = small_config(noise=NoiseModel.bounded_margin(0.1, 0.5))
+        assert config_for_value(margin_cfg, "eta", 0.3).noise == NoiseModel.bounded_margin(0.3, 0.5)
         assert config_for_value(cfg, "nu", 0.01).noise == NoiseModel.adversarial(0.01)
         assert config_for_value(cfg, "epsilon", 0.1).epsilon == 0.1
         with pytest.raises(ValueError):
@@ -251,17 +253,6 @@ class TestCli:
         assert all(",realizable," in r for r in rows)
         assert all(",5," in r for r in rows)
 
-    @pytest.mark.parametrize("argv, noise", [
-        (["--noise", "bounded_margin:0.1:0.5", "--eta", "0.3"], "bounded_margin,0.3,"),
-        (["--eta", "0.3"], "bounded,0.3,"),
-        (["--noise", "bounded:0.1", "--nu", "0.01"], "adversarial,0.01,"),
-    ])
-    def test_eta_and_nu_shortcuts(self, tmp_path, argv, noise):
-        out = tmp_path / "noise.csv"
-        assert main(["run", "--d", "5", "--epsilon", "0.5", "--trials", "1",
-                     "--out", str(out)] + argv) == 0
-        assert f",{noise}" in out.read_text().splitlines()[1]
-
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps({"dimension": 5}))
@@ -290,6 +281,12 @@ class TestCli:
         (["--scale-m", "1e-300"], None),
         (["--trials", "1" + "0" * 400], None),
         ([], {"delta": 10**400}),
+        # The noise level is part of --noise; there is no second way in.
+        (["--eta", "0.3"], None),
+        (["--nu", "0.01"], None),
+        ([], {"eta": 0.3}),
+        # The schedule refuses d < 3 for the config.
+        (["--d", "2"], None),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)

@@ -24,7 +24,7 @@ from percband import geometry, learner
 from percband.bench import ExperimentConfig, run_sweep
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
 from percband.learner import mod_perceptron, modified_perceptron_step
-from percband.oracles import LabelingOracle, NoiseModel, labels_from_dots
+from percband.oracles import LabelingOracle, NoiseModel, flip_coins, flip_radius
 
 from conftest import lift, planted_pair, traced_peak_bytes, unit_orthogonal
 
@@ -239,13 +239,18 @@ def test_epoch_memory_is_linear_in_d_plus_one_chunk(m):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
-def test_scalar_labels_match_labels_from_dots(model):
+def test_scalar_labels_match_flip_coins_and_radius(model):
+    # One query is one coin, flipping sign(u . x) iff |u . x| <= the radius.
     oracle, _, rng = fresh(model, 5)
     ref_rng = np.random.default_rng(6)
     points = sample_uniform_sphere(D, rng, n=300)
     got = [oracle.query(x) for x in points]
-    want = [int(labels_from_dots(model, np.asarray([x @ oracle.target]), ref_rng,
-                                 oracle.slab_threshold)[0]) for x in points]
+    radius = flip_radius(model, D)
+    want = []
+    for x in points:
+        dot = x @ oracle.target
+        flip = flip_coins(model, ref_rng, 1)[0] and abs(dot) <= radius
+        want.append(-1 if (dot >= 0.0) == flip else 1)
     assert got == want
     assert oracle.rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -4,6 +4,7 @@ import pathlib
 import percband
 
 PACKAGE = pathlib.Path(percband.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def private_imports(path: pathlib.Path) -> list[str]:
@@ -50,3 +51,24 @@ def unused_public_definitions(modules: list[pathlib.Path]) -> list[str]:
 def test_every_public_definition_is_used_exported_or_a_reference():
     # A public name that only tests call is a test helper living in src.
     assert unused_public_definitions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names ``path`` imports and never reads. ``__future__`` imports are
+    directives, not names; the package's exports are read by its importers."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    exempt = read | (set(percband.__all__) if path.name == "__init__.py" else set())
+    return [f"{path.name}:{line}: {name}" for line, name in imported if name not in exempt]
+
+
+def test_no_module_or_test_imports_a_name_it_never_uses():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(files) > 15
+    assert [hit for path in files for hit in unused_imports(path)] == []

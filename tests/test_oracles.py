@@ -6,12 +6,7 @@ from scipy import special
 
 from percband import geometry
 from percband.geometry import DimensionMismatch, sample_uniform_sphere
-from percband.oracles import (
-    LabelingOracle,
-    NoiseModel,
-    adversarial_threshold,
-    labels_from_dots,
-)
+from percband.oracles import LabelingOracle, NoiseModel, adversarial_threshold
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -166,7 +161,3 @@ class TestValidation:
         oracle = make_oracle(NoiseModel.realizable(), target=E1)
         with pytest.raises(DimensionMismatch):
             oracle.query([1.0, 0.0, 0.0, 0.0])
-
-    def test_labels_from_dots_requires_tau(self, rng):
-        with pytest.raises(ValueError):
-            labels_from_dots(NoiseModel.adversarial(0.1), np.array([0.2]), rng)
