@@ -49,21 +49,32 @@ class CheckResult:
 def count_disagreements(a: np.ndarray, b: np.ndarray, n: int, rng: np.random.Generator) -> int:
     """Points among n uniform on the sphere where sign(a . x) != sign(b . x).
 
-    A uniform point is a Gaussian vector g over its norm, and a sign is
-    invariant under positive scaling. With (c, s) = ``geometry.cos_sin(a, b)``,
-    (g . a, g . b) has the law of (z0, c z0 + s z1) for independent standard
-    normals z0 and z1, so each point costs two normals in any dimension. They
-    are the rows of ``rng.standard_normal((n, 2))``, drawn
-    ``geometry.CHUNK_POINTS`` rows at a time into one reused buffer.
+    The two signs read only the direction of x's projection onto span(a, b),
+    and that direction is uniform on the circle. So is the direction of a
+    point (p, q) uniform on the unit disk (Marsaglia 1972). With
+    (c, s) = ``geometry.cos_sin(a, b)``, (p, c p + s q) stands for
+    (a . x, b . x) up to a positive factor, so each point costs two uniforms
+    by rejection from the square, in any dimension. Each chunk is
+    ``rng.uniform(-1, 1, (2, geometry.CHUNK_POINTS))`` bit for bit, made in
+    place in one reused buffer, with p in row 0 and q in row 1; the columns
+    inside the disk are kept in order until n are kept, and the last chunk's
+    surplus draws are discarded.
     """
     cos, sin = geometry.cos_sin(a, b)
-    rows = geometry.CHUNK_POINTS
-    buf = np.empty((min(rows, n), 2))
+    buf = np.empty((2, geometry.CHUNK_POINTS))
+    p, q = buf
     count = 0
-    for start in range(0, n, rows):
-        z = rng.standard_normal(out=buf[: min(rows, n - start)])
-        signs_b = cos * z[:, 0] + sin * z[:, 1] >= 0.0
-        count += int(np.count_nonzero((z[:, 0] >= 0.0) != signs_b))
+    while n > 0:
+        rng.random(out=buf)
+        buf *= 2.0
+        buf -= 1.0
+        inside = p * p + q * q <= 1.0
+        kept = int(np.count_nonzero(inside))
+        if kept > n:
+            inside[np.flatnonzero(inside)[n] :] = False
+            kept = n
+        count += int(np.count_nonzero(inside & ((p >= 0.0) != (cos * p + sin * q >= 0.0))))
+        n -= kept
     return count
 
 
@@ -270,11 +281,11 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
 
     The checks draw from three generators spawned from the seed: one for the
     error/angle pairs, one for the conditional moments and one for the
-    progress steps. The moment and progress checks run on a helper thread
-    while this thread runs the error/angle and band-mass checks; numpy
-    releases the GIL in its generator fills and large loops, so the halves
-    overlap. Each generator belongs to one thread, so every draw is the same
-    as in one thread and the results come back in the same order.
+    progress steps. The progress checks run on a helper thread while this
+    thread runs the error/angle, band-mass and moment checks; numpy releases
+    the GIL in its generator fills and large loops, so the two overlap. Each
+    generator belongs to one thread, so every draw is the same as in one
+    thread and the results come back in the same order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -288,12 +299,10 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
     # waiting for the thread.
     outcome: list = []
 
-    def moments_and_progress() -> None:
+    def progress() -> None:
         try:
-            rest = check_conditional_moments(
-                20, [math.pi / 8.0, math.pi / 4.0], n_samples, rng_moments
-            )
             theta = math.pi / 4.0
+            rest = []
             for model in (
                 NoiseModel.realizable(),
                 NoiseModel.bounded(0.3),
@@ -304,11 +313,14 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
         except BaseException as exc:
             outcome.append(exc)
 
-    helper = threading.Thread(target=moments_and_progress, daemon=True)
+    helper = threading.Thread(target=progress, daemon=True)
     helper.start()
     results = check_error_angle_relation(10, 20, n_samples, rng_pairs)
     results += check_band_mass_bound(
         [3, 10, 50, 100], [0.005, 0.01, 0.0316, 0.05, 0.2]
+    )
+    results += check_conditional_moments(
+        20, [math.pi / 8.0, math.pi / 4.0], n_samples, rng_moments
     )
     helper.join()
     (rest,) = outcome

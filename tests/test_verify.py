@@ -36,8 +36,8 @@ def literal_count_disagreements(a, b, n, rng):
 
 
 # sha256 of the verify CSV of run_suite(seed=0, n_samples=20_000). The
-# stream has changed twice, each time on purpose and with the law of every
-# statistic kept:
+# stream has changed three times, each time on purpose and with the law of
+# every statistic kept:
 # - when every check came to draw and reduce 1 MiB of Gaussians at a time
 #   (the progress check's draws were reordered chunk by chunk);
 # - when every check came to draw only the coordinates its statistic reads
@@ -45,10 +45,16 @@ def literal_count_disagreements(a, b, n, rng):
 #   disagreement count, one sphere coordinate (a normal and a chi-square) per
 #   point for the moment and progress checks. The tests of count_disagreements,
 #   conditional_moment_oracle and sphere_coordinates compare each reduction
-#   with the literal d-wide draw.
+#   with the literal d-wide draw;
+# - when the disagreement count came to draw each point as two uniforms on
+#   the unit disk by rejection from the square instead of two normals: the
+#   direction of a disk point is uniform, as is that of a sphere point's
+#   projection onto span(a, b), and the count's law is Binomial(n, angle/pi)
+#   as before. Only the error_angle rows changed, and the KS test against
+#   literal d-wide points holds the law.
 # Beyond that, how the checks draw may change only if every count, estimate
 # and generator state stays the same, and with them these bytes.
-VERIFY_20K_SHA256 = "c19482f630df037d25d6801ac916086680e492e6f327d4a642f2897ac44d3597"
+VERIFY_20K_SHA256 = "5bbb9909084edb19b07a38f708cb4124ec91dc7c4ba451951558635e5bf68c2b"
 
 
 # Two chunks of the sampled checks and part of a third.
@@ -69,19 +75,30 @@ class TestErrorAngleCheck:
 
     @pytest.mark.parametrize("d,n", [(10, SPAN), (3, SPAN), (25, 50)])
     def test_chunked_count_matches_one_block(self, d, n):
-        # The reference reduces the same normals, drawn in one block. At d=10
-        # and d=3, n spans two chunks and part of a third; at d=25, n is less
-        # than one chunk.
+        # The reference draws the same blocks of uniforms, joins their disk
+        # points, keeps the first n and counts them in one reduction. At
+        # d=10 and d=3, n spans two chunks' disk points and part of a third's;
+        # at d=25, n is less than one chunk's.
         new, ref = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(3):
             a, b = geometry.sample_uniform_sphere(d, new), geometry.sample_uniform_sphere(d, new)
             count = count_disagreements(a, b, n, new)
             geometry.sample_uniform_sphere(d, ref)
             geometry.sample_uniform_sphere(d, ref)
-            z = ref.standard_normal((n, 2))
+            blocks, held = [], 0
+            while held < n:
+                u = ref.uniform(-1.0, 1.0, (2, geometry.CHUNK_POINTS))
+                blocks.append(u[:, u[0] * u[0] + u[1] * u[1] <= 1.0])
+                held += blocks[-1].shape[1]
+            p, q = np.concatenate(blocks, axis=1)[:, :n]
             cos, sin = geometry.cos_sin(a, b)
-            assert count == int(np.sum((z[:, 0] >= 0.0) != (cos * z[:, 0] + sin * z[:, 1] >= 0.0)))
+            assert count == int(np.sum((p >= 0.0) != (cos * p + sin * q >= 0.0)))
             assert new.bit_generator.state == ref.bit_generator.state
+
+    def test_equal_and_opposite_pairs_are_exact(self, rng):
+        a = geometry.sample_uniform_sphere(10, rng)
+        assert count_disagreements(a, a, SPAN, rng) == 0
+        assert count_disagreements(a, -a, SPAN, rng) == SPAN
 
     @pytest.mark.parametrize("d,theta", [(3, 0.3), (10, 1.0), (25, 2.5)])
     def test_count_law_matches_literal_points(self, d, theta):
@@ -215,6 +232,30 @@ class TestSuite:
             sys.setswitchinterval(interval)
         assert list(map(repr, results)) == list(map(repr, expected))
 
+    def test_progress_runs_on_the_helper_and_the_rest_on_the_caller(self, monkeypatch):
+        threads = {}
+        names = (
+            "check_error_angle_relation",
+            "check_band_mass_bound",
+            "check_conditional_moments",
+            "check_progress_measure",
+        )
+        for name in names:
+            def wrapped(*args, _check=getattr(verify, name), _name=name):
+                threads.setdefault(_name, set()).add(threading.current_thread())
+                return _check(*args)
+
+            monkeypatch.setattr(verify, name, wrapped)
+        assert all_passed(run_suite(0, 1000))
+        (helper,) = threads.pop("check_progress_measure")
+        assert helper is not threading.current_thread() and helper.daemon
+        assert threads == {name: {threading.current_thread()} for name in names[:3]}
+
+    def test_memory_is_bounded(self):
+        results, peak = traced_peak_bytes(lambda: run_suite(0, 400_000))
+        assert all_passed(results)
+        assert peak < 4 * geometry.CHUNK_BYTES
+
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         error = RuntimeError("progress check failed")
 
@@ -239,7 +280,7 @@ class TestSuite:
             started.wait(60)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(verify, "check_conditional_moments", blocked)
+        monkeypatch.setattr(verify, "check_progress_measure", blocked)
         monkeypatch.setattr(verify, "check_error_angle_relation", interrupted)
         try:
             with pytest.raises(KeyboardInterrupt):
