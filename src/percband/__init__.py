@@ -26,7 +26,6 @@ from .learner import (
     Schedule,
     active_perceptron,
     make_schedule,
-    mod_perceptron,
     mod_perceptron_params,
 )
 from .oracles import LabelingOracle, NoiseModel, adversarial_threshold
@@ -53,7 +52,6 @@ __all__ = [
     "conditional_moment_oracle",
     "disagreement_mass",
     "make_schedule",
-    "mod_perceptron",
     "mod_perceptron_params",
     "normalize",
     "run_suite",

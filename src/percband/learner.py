@@ -10,8 +10,8 @@ on points queried from the band {x : b_k / 2 <= w . x <= b_k}. The change of
 the progress measure cos(angle to any fixed unit u) per step is exactly
 -2 * 1{y (w . x) < 0} (w . x)(u . x), which the tests verify to 1e-9.
 
-An epoch runs as an exact chain on two scalars. Let t be the target and e
-the unit part of the epoch's start vector w0 orthogonal to t, so that
+A run is one exact chain on two scalars. Let t be the target and e the
+unit part of the run's start vector w0 orthogonal to t, so that
 w0 = a t + b e. Since w . x is the band margin xi > 0, an update fires iff
 the label is -1, and the label needs only t . x; a fired reflection moves
 (a, b) = (t . w, e . w) by -2 xi (t . x, e . x) and keeps |w| = 1. Both
@@ -19,12 +19,13 @@ dot products are functions of (a, b), xi and two coordinates of the point's
 direction orthogonal to w (:func:`geometry.draw_band_tape`), so a label
 costs O(1) in any dimension. The chain is exact because the update's kernel
 is equivariant under rotations: those that fix t and w0 map the whole run to
-an equally likely one with the same (a, b) path, so (a, b) is a Markov
-chain and, given its path, the rest of w (norm c = sqrt(1 - a^2 - b^2)) has
-a direction uniform on the unit sphere of span(t, e)'s complement. The
-epoch ends by drawing that direction, which gives w the law it has under
-the literal loop of :func:`modified_perceptron_step` on the literal band
-sampler; ``tests/test_engine.py`` replays chains through that loop.
+an equally likely one with the same (a, b) path, whatever band each step
+uses, so (a, b) is a Markov chain across epochs and, given its path, the
+rest of w (norm c = sqrt(1 - a^2 - b^2)) has a direction uniform on the
+unit sphere of span(t, e)'s complement. The run ends by drawing that
+direction, which gives w the law it has under the literal loop of
+:func:`modified_perceptron_step` on the literal band sampler;
+``tests/test_engine.py`` replays runs through that loop.
 
 The theory-grade schedule constants make m_k astronomically large (the proof
 constants are (3200 pi)^3 and 1/(2 (600 pi)^2)); they are exposed here as
@@ -64,8 +65,8 @@ DEFAULT_SCALE_B = 0.5
 # quantized once it nears 1.5e-8: a near 1 takes only the float64 values
 # 1 - k 2^-53, so the angle stays at about sqrt(k) 2^-26 (1.49e-8,
 # 2.11e-8, ...), and below 1.49e-8 the chain departs from the literal law.
-# `run --d 10 --epsilon 1e-6 --trials 20 --seed 5` reports 14 final angles
-# of 1.4901e-8 and 6 of 2.1073e-8. Labels, draws and succeeded do not
+# `run --d 10 --epsilon 1e-6 --trials 20 --seed 5` reports 15 final angles
+# of 1.4901e-8 and 5 of 2.1073e-8. Labels, draws and succeeded do not
 # depend on it (m is fixed, draws do not depend on the chain, and
 # 1.5e-8 < pi * epsilon); carrying sin(theta) in the chain would mend it.
 MIN_EPSILON = 1e-7
@@ -245,55 +246,6 @@ class RunReport:
         return sum(t.unlabeled_draws for t in self.traces)
 
 
-def mod_perceptron(
-    oracle: LabelingOracle,
-    w0,
-    m: int,
-    b: float,
-    rng: np.random.Generator,
-    charge_rejected: bool = False,
-) -> tuple[np.ndarray, int, int]:
-    """Run m band-query update iterations from w0; returns (w, labels, draws).
-
-    Each iteration samples one point from the band [b/2, b] around the
-    current iterate, queries its label, and applies the reflection update.
-    The active learner spends exactly one label per iteration; with
-    ``charge_rejected`` (the passive learner, which draws labeled pairs) each
-    draw rejected by the band costs a label too, so labels equal draws.
-
-    The epoch runs as the two-scalar chain of the module docstring. Its
-    randomness is drawn in bulk, in chunks of at most TAPE_STEPS steps: a
-    :class:`geometry.BandTape` from ``rng``, then the label coins from the
-    oracle's generator. The chain over the tape is a pure function of
-    (t . w0, e . w0, tape); the returned w then takes its residual direction
-    from ``rng``. A step's draw count is one Geometric(p) number, so an
-    epoch costs O(m) whatever the band mass p; a band of mass below
-    MIN_BAND_MASS raises ValueError.
-    """
-    w = geometry.check_unit(w0, "w0")
-    if m < 0:
-        raise ValueError(f"iteration count must be >= 0, got {m}")
-    if not (0.0 < b <= 1.0):
-        raise ValueError(f"band width must lie in (0, 1], got {b}")
-    target = oracle.target
-    geometry.check_same_dimension(w, target)
-    if m == 0:
-        return w, 0, 0
-    d = w.shape[0]
-    lower = b / 2.0
-    p = _epoch_band_mass(d, b)
-    e, chain = _start_chain(target, w)
-    draws = 0
-    for done in range(0, m, TAPE_STEPS):
-        n = min(TAPE_STEPS, m - done)
-        tape = geometry.draw_band_tape(d, lower, b, p, rng, n)
-        chain = _run_chain(chain, tape, *oracle.flip_tape(n))
-        draws += int(tape.draws.sum())
-    labels = draws if charge_rejected else m
-    oracle.charge_queries(labels)
-    return _iterate(target, e, chain, rng), labels, draws
-
-
 def _start_chain(target, w0) -> tuple[np.ndarray, tuple[float, float, float]]:
     """The direction e and the chain's start (t . w0, e . w0, 0).
 
@@ -371,21 +323,47 @@ def active_perceptron(
     rng: np.random.Generator,
     charge_rejected: bool = False,
 ) -> RunReport:
-    """Full epoch loop: run the halving stage once per schedule entry.
+    """Run the schedule's epochs from v0 as one chain; see the module docstring.
 
-    The acute-start assumption (angle(v0, target) <= pi/2) is the caller's
-    responsibility; see the initialization module for removing it. Per-epoch
-    angles are measured against ``oracle.target``, and ``succeeded`` is
-    angle(final, oracle.target) <= pi * schedule.epsilon. ``charge_rejected``
-    selects the passive accounting of :func:`mod_perceptron`.
+    Epoch k runs m_k iterations, each on one point of the band [b_k/2, b_k]
+    around the current iterate. The active learner spends one label per
+    iteration; with ``charge_rejected`` (the passive learner, which draws
+    labeled pairs) each draw rejected by the band costs a label too, so
+    labels equal draws. The randomness is drawn in chunks of at most
+    TAPE_STEPS steps of an epoch: a :class:`geometry.BandTape` from ``rng``,
+    then the label coins from the oracle's generator; at the end the final
+    vector takes its residual direction from ``rng``. A step's draw count is
+    one Geometric(p) number, so an epoch costs O(m) whatever its band mass p;
+    a band of mass below MIN_BAND_MASS raises ValueError.
+
+    The acute start (angle(v0, target) <= pi/2) is the caller's
+    responsibility; see the initialization module. Angles are measured
+    against ``oracle.target``: the first and last by :func:`geometry.angle`
+    on v0 and the final vector, so ``succeeded`` is angle(final, target) <=
+    pi * schedule.epsilon, and those between epochs as atan2(|(b, c)|, a) of
+    the chain state.
     """
     v = geometry.check_unit(v0, "v0")
     target = oracle.target
     theta = geometry.angle(v, target)
+    d = v.shape[0]
+    e, chain = _start_chain(target, v)
     traces: list[EpochTrace] = []
     for k, (m, b) in enumerate(zip(schedule.m, schedule.b), start=1):
-        v, labels, draws = mod_perceptron(oracle, v, m, b, rng, charge_rejected=charge_rejected)
-        theta_after = geometry.angle(v, target)
+        p = _epoch_band_mass(d, b)
+        draws = 0
+        for done in range(0, m, TAPE_STEPS):
+            n = min(TAPE_STEPS, m - done)
+            tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, n)
+            chain = _run_chain(chain, tape, *oracle.flip_tape(n))
+            draws += int(tape.draws.sum())
+        labels = draws if charge_rejected else m
+        oracle.charge_queries(labels)
+        if k < schedule.epochs:
+            theta_after = math.atan2(math.hypot(chain[1], chain[2]), chain[0])
+        else:
+            v = _iterate(target, e, chain, rng)
+            theta_after = geometry.angle(v, target)
         traces.append(EpochTrace(k, theta, theta_after, labels, draws))
         theta = theta_after
     return RunReport(final=v, traces=traces, succeeded=theta <= math.pi * schedule.epsilon)

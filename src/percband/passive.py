@@ -6,9 +6,8 @@ band. Every drawn pair costs one label, so the passive labeled-example count
 follows exactly the law of the active learner's unlabeled-draw count (the
 band acceptance events are the same), while the accepted pairs have the same
 conditional distribution as in the active mode. The loop is the active
-learner's own (``mod_perceptron`` or ``active_perceptron`` with
-``charge_rejected=True``); :class:`LabeledExampleSource` is its literal,
-pair-by-pair reference.
+learner's own (``active_perceptron`` with ``charge_rejected=True``);
+:class:`LabeledExampleSource` is its literal, pair-by-pair reference.
 """
 
 from __future__ import annotations

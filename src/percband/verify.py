@@ -59,21 +59,38 @@ def count_disagreements(a: np.ndarray, b: np.ndarray, n: int, rng: np.random.Gen
     place in one reused buffer, with p in row 0 and q in row 1; the columns
     inside the disk are kept in order until n are kept, and the last chunk's
     surplus draws are discarded.
+
+    The arithmetic goes into work arrays made once, so a chunk allocates
+    nothing: a row of CHUNK_POINTS floats is 128 KiB, glibc's initial mmap
+    threshold, and temporaries of that size per chunk made the check's speed
+    depend on the state of the heap.
     """
     cos, sin = geometry.cos_sin(a, b)
     buf = np.empty((2, geometry.CHUNK_POINTS))
     p, q = buf
+    work, work2 = np.empty_like(buf)
+    inside, differ, sign = np.empty((3, geometry.CHUNK_POINTS), dtype=bool)
     count = 0
     while n > 0:
         rng.random(out=buf)
         buf *= 2.0
         buf -= 1.0
-        inside = p * p + q * q <= 1.0
+        np.multiply(p, p, out=work)
+        np.multiply(q, q, out=work2)
+        work += work2
+        np.less_equal(work, 1.0, out=inside)
         kept = int(np.count_nonzero(inside))
         if kept > n:
             inside[np.flatnonzero(inside)[n] :] = False
             kept = n
-        count += int(np.count_nonzero(inside & ((p >= 0.0) != (cos * p + sin * q >= 0.0))))
+        np.multiply(p, cos, out=work)
+        np.multiply(q, sin, out=work2)
+        work += work2
+        np.greater_equal(work, 0.0, out=differ)
+        np.greater_equal(p, 0.0, out=sign)
+        differ ^= sign
+        differ &= inside
+        count += int(np.count_nonzero(differ))
         n -= kept
     return count
 

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from percband.learner import Schedule, active_perceptron
+
 
 @pytest.fixture
 def rng():
@@ -20,6 +22,14 @@ def planted_pair(d: int, theta: float, seed: int = 0):
     q /= np.linalg.norm(q)
     w = np.cos(theta) * u + np.sin(theta) * q
     return u, w / np.linalg.norm(w)
+
+
+def one_epoch(oracle, w0, m, b, rng, charge_rejected=False):
+    """A run of one epoch of m steps on the band [b/2, b]; returns
+    (final vector, labels, draws)."""
+    report = active_perceptron(oracle, w0, Schedule(0.5, (m,), (b,)), rng,
+                               charge_rejected=charge_rejected)
+    return report.final, report.total_labels, report.total_unlabeled
 
 
 def traced_peak_bytes(fn):

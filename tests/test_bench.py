@@ -87,13 +87,15 @@ class TestRunSingle:
             assert row.unlabeled_draws == row.report.total_unlabeled
 
     def test_trial_measures_each_epoch_boundary_once(self, monkeypatch):
-        # K epochs have K + 1 boundaries; the row's final angle is the last.
+        # K epochs have K + 1 boundaries. Only the run's two ends are
+        # vectors, measured by geometry.angle; the K - 1 between them are
+        # read off the chain. The row's final angle is the last.
         calls = []
         angle = geometry.angle
         monkeypatch.setattr(geometry, "angle", lambda *a: calls.append(1) or angle(*a))
         row = run_trial(ExperimentConfig(d=10, epsilon=0.05, trials=1), 0, 0)
         assert len(row.report.traces) == 5
-        assert len(calls) == 6
+        assert len(calls) == 2
         assert row.final_angle == row.report.traces[-1].theta_after
 
     def test_rows_deterministic(self, tmp_path):

@@ -1,13 +1,13 @@
-"""The two-coordinate epoch engine against the public, validated primitives.
+"""The two-coordinate run engine against the public, validated primitives.
 
-``learner.mod_perceptron`` checks its inputs once per epoch, draws the
+``learner.active_perceptron`` checks its inputs once per run, draws each
 epoch's randomness in bulk (a ``geometry.BandTape`` from the sampler's
-generator, the label coins from the oracle's) and runs the per-label loop as
-a chain on (t . w, e . w), with t the target and e the unit part of the
-start vector orthogonal to t. These tests lift each tape row to a point in
-R^d, with the rest of its direction drawn from a separate generator, replay
-the epoch step by step through ``modified_perceptron_step`` and
-``LabelingOracle.query``, compare the engine's law with a loop over the
+generator, the label coins from the oracle's) and runs the whole schedule's
+per-label loop as one chain on (t . w, e . w), with t the target and e the
+unit part of the start vector orthogonal to t. These tests lift each tape
+row to a point in R^d, with the rest of its direction drawn from a separate
+generator, replay the run step by step through ``modified_perceptron_step``
+and ``LabelingOracle.query``, compare the engine's law with a loop over the
 literal draw-and-discard sampler, and pin the trial CSVs of the stream.
 """
 
@@ -23,10 +23,10 @@ from scipy import stats
 from percband import geometry, learner
 from percband.bench import ExperimentConfig, run_sweep
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
-from percband.learner import mod_perceptron, modified_perceptron_step
+from percband.learner import Schedule, active_perceptron, modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel, flip_coins, flip_radius
 
-from conftest import lift, planted_pair, traced_peak_bytes, unit_orthogonal
+from conftest import lift, one_epoch, planted_pair, traced_peak_bytes, unit_orthogonal
 
 D = 10
 MODELS = (
@@ -41,10 +41,14 @@ MODELS = (
 # geometric law (a Geometric(p) count, then the point) is cheap. The engine
 # samples both from the tape.
 WIDTHS = {"literal": 0.03, "geometric": 0.005}
-# Steps per tape chunk in the replay test, so that an 80-step epoch spans
+# Steps per tape chunk in the replay tests, so that an 80-step epoch spans
 # three chunks.
 REPLAY_STEPS = 32
-# Agreement required between the engine's (t . w, e . w) and the replay's.
+# The band widths of the cross-epoch replay: the two of WIDTHS with a middle
+# one between them.
+REPLAY_WIDTHS = (0.03, 0.02, 0.005)
+# Agreement required between the engine's (t . w, e . w) and the replay's,
+# and between their angles to the target at each epoch's end.
 REPLAY_ATOL = 1e-9
 
 
@@ -64,28 +68,34 @@ def chain_frame(w, t, e, gen):
     return (t - a * w) / pa, (c * e - b * z) / pa
 
 
-def reference_epoch(oracle, w0, e, m, b, rng, charge_rejected, lift_rng):
-    """One epoch replayed from its tape through the public, validated
-    primitives, each row lifted to R^d with the help of lift_rng; returns
-    ((t . w, e . w), labels, draws)."""
+def reference_run(oracle, w0, e, schedule, rng, charge_rejected, lift_rng):
+    """A run replayed from its tapes through the public, validated
+    primitives, each row lifted to R^d with the help of lift_rng, with one e
+    for the whole run; returns ((t . w, e . w), labels, draws, angles), the
+    last three per epoch."""
     d, t = oracle.dimension, oracle.target
-    p = band_mass(d, b / 2.0, b)
-    budget = math.ceil(100 * m / p)
-    w, draws, done = w0, 0, 0
-    while done < m:
-        tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, min(learner.TAPE_STEPS, m - done))
-        for used, xi, tau1, tau2 in zip(*tape):
-            draws += int(used)
-            assert draws <= budget
-            x = lift(w, xi, tau1, tau2, *chain_frame(w, t, e, lift_rng), lift_rng)
-            assert b / 2.0 - 1e-12 <= float(x.dot(w)) <= b + 1e-12
-            if charge_rejected:
-                oracle.charge_queries(int(used) - 1)
-            w = modified_perceptron_step(w, x, oracle.query(x))
-            assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
-            done += 1
-    rng.standard_normal(d)  # the engine's draw of the rest of w's direction
-    return (float(t @ w), float(e @ w)), draws if charge_rejected else m, draws
+    w, labels, draws, angles = w0, [], [], []
+    for m, b in zip(schedule.m, schedule.b):
+        p = band_mass(d, b / 2.0, b)
+        budget = math.ceil(100 * m / p)
+        epoch_draws, done = 0, 0
+        while done < m:
+            tape = geometry.draw_band_tape(d, b / 2.0, b, p, rng, min(learner.TAPE_STEPS, m - done))
+            for used, xi, tau1, tau2 in zip(*tape):
+                epoch_draws += int(used)
+                assert epoch_draws <= budget
+                x = lift(w, xi, tau1, tau2, *chain_frame(w, t, e, lift_rng), lift_rng)
+                assert b / 2.0 - 1e-12 <= float(x.dot(w)) <= b + 1e-12
+                if charge_rejected:
+                    oracle.charge_queries(int(used) - 1)
+                w = modified_perceptron_step(w, x, oracle.query(x))
+                assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
+                done += 1
+        labels.append(epoch_draws if charge_rejected else m)
+        draws.append(epoch_draws)
+        angles.append(geometry.angle(w, t))
+    rng.standard_normal(d)  # the engine's one draw of the rest of w's direction
+    return (float(t @ w), float(e @ w)), labels, draws, angles
 
 
 def fresh(model, seed, d=D):
@@ -94,9 +104,9 @@ def fresh(model, seed, d=D):
     return oracle, w0, np.random.default_rng(seed + 2)
 
 
-def replay(model, seed, w0, m, b, charge_rejected, d=D):
-    """Run one epoch on the engine and on the reference from the same seeds,
-    and check that they agree."""
+def replay(model, seed, w0, schedule, charge_rejected, d=D):
+    """Run a schedule on the engine and on the reference from the same
+    seeds, and check that they agree."""
     ref_oracle, _, ref_rng = fresh(model, seed, d)
     oracle, _, rng = fresh(model, seed, d)
     t = oracle.target
@@ -104,13 +114,17 @@ def replay(model, seed, w0, m, b, charge_rejected, d=D):
     # e is any unit direction orthogonal to t whose plane with t holds w0.
     assert abs(np.linalg.norm(e) - 1.0) <= 1e-12 and abs(float(e @ t)) <= 1e-12
     assert np.linalg.norm(w0 - (t @ w0) * t - (e @ w0) * e) <= 1e-12
-    want = reference_epoch(ref_oracle, w0, e, m, b, ref_rng, charge_rejected,
-                           np.random.default_rng(seed + 3))
-    w, labels, draws = mod_perceptron(oracle, w0, m, b, rng, charge_rejected=charge_rejected)
+    want = reference_run(ref_oracle, w0, e, schedule, ref_rng, charge_rejected,
+                         np.random.default_rng(seed + 3))
+    report = active_perceptron(oracle, w0, schedule, rng, charge_rejected=charge_rejected)
+    w = report.final
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
     assert (float(t @ w), float(e @ w)) == pytest.approx(want[0], abs=REPLAY_ATOL, rel=0.0)
-    assert (labels, draws) == want[1:]
-    assert oracle.queries == ref_oracle.queries == labels
+    assert [tr.labels for tr in report.traces] == want[1]
+    assert [tr.unlabeled_draws for tr in report.traces] == want[2]
+    # Inner epoch ends are read off the chain state, the last off the vector.
+    assert [tr.theta_after for tr in report.traces] == pytest.approx(want[3], abs=REPLAY_ATOL, rel=0.0)
+    assert oracle.queries == ref_oracle.queries == report.total_labels
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert oracle.rng.bit_generator.state == ref_oracle.rng.bit_generator.state
     return w
@@ -122,7 +136,17 @@ def replay(model, seed, w0, m, b, charge_rejected, d=D):
 def test_engine_matches_reference_loop(monkeypatch, model, width, charge_rejected):
     monkeypatch.setattr(learner, "TAPE_STEPS", REPLAY_STEPS)
     _, w0, _ = fresh(model, 3)
-    replay(model, 3, w0, 80, WIDTHS[width], charge_rejected)
+    replay(model, 3, w0, Schedule(0.5, (80,), (WIDTHS[width],)), charge_rejected)
+
+
+@pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_run_matches_reference_loop_across_epochs(monkeypatch, model, charge_rejected):
+    # Epochs end without leaving the chain: e stays the start's, and the
+    # rest of w's direction is drawn once, at the end of the run.
+    monkeypatch.setattr(learner, "TAPE_STEPS", REPLAY_STEPS)
+    _, w0, _ = fresh(model, 3)
+    replay(model, 3, w0, Schedule(0.125, (80,) * 3, REPLAY_WIDTHS), charge_rejected)
 
 
 DEGENERATE_STARTS = {
@@ -142,11 +166,11 @@ def test_degenerate_starts(model, start):
     d = 3 if start == "d3" else D
     target = fresh(model, 9, d)[0].target
     w0 = DEGENERATE_STARTS[start](target, np.random.default_rng(10))
-    w = replay(model, 9, w0, 200, 0.03, False, d)
+    w = replay(model, 9, w0, Schedule(0.5, (200,), (0.03,)), False, d)
     oracle, _, rng = fresh(model, 9, d)
     for _ in range(3):
         before = oracle.queries
-        w, labels, draws = mod_perceptron(oracle, w, 200, 0.03, rng, charge_rejected=True)
+        w, labels, draws = one_epoch(oracle, w, 200, 0.03, rng, charge_rejected=True)
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         assert labels == draws == oracle.queries - before
 
@@ -168,7 +192,7 @@ def test_engine_law_matches_literal_sampler(model):
     for seed in range(200):
         u, w0 = planted_pair(D, 1.0, seed=seed)
         oracle = LabelingOracle(u, model, np.random.default_rng([seed, 1]))
-        w, _, draws = mod_perceptron(oracle, w0, m, b, np.random.default_rng([seed, 2]))
+        w, _, draws = one_epoch(oracle, w0, m, b, np.random.default_rng([seed, 2]))
         taped.append((draws, geometry.angle(w, u)))
         oracle = LabelingOracle(u, model, np.random.default_rng([seed, 3]))
         w, draws = literal_epoch(oracle, w0, m, b, np.random.default_rng([seed, 4]))
@@ -195,13 +219,49 @@ def test_engine_law_of_the_whole_vector(d):
     chain, literal = [], []
     for seed in range(200):
         oracle = LabelingOracle(u, model, np.random.default_rng([seed, 1]))
-        w, _, _ = mod_perceptron(oracle, w0, m, b, np.random.default_rng([seed, 2]))
+        w, _, _ = one_epoch(oracle, w0, m, b, np.random.default_rng([seed, 2]))
         chain.append((geometry.angle(w, u), w @ w0, w @ q))
         oracle = LabelingOracle(u, model, np.random.default_rng([seed, 3]))
         w, _ = literal_epoch(oracle, w0, m, b, np.random.default_rng([seed, 4]))
         literal.append((geometry.angle(w, u), w @ w0, w @ q))
     chain, literal = np.array(chain), np.array(literal)
     for column in range(3):
+        assert stats.ks_2samp(chain[:, column], literal[:, column]).pvalue > 0.01
+
+
+# Band widths per epoch for the multi-epoch law test, by dimension: cheap for
+# the literal loop, as in LAW_WIDTHS.
+LAW_SCHEDULES = {3: (0.3, 0.15, 0.08), 40: (0.1, 0.05)}
+
+
+@pytest.mark.parametrize("d", sorted(LAW_SCHEDULES))
+def test_engine_law_across_epochs(d):
+    # A run is one chain, so the epochs after the first start from a state,
+    # not from a vector. Against epochs chained on the literal loop, each
+    # from the vector the last one ended on: the law of the run's end (as in
+    # the whole-vector test), of the angle after epoch 1, read off the chain,
+    # and of the total draws.
+    model, m, widths = NoiseModel.bounded(0.2), 30, LAW_SCHEDULES[d]
+    schedule = Schedule(0.1, (m,) * len(widths), widths)
+    u, w0 = planted_pair(d, 1.0, seed=0)
+    q = sample_uniform_sphere(d, np.random.default_rng(5))
+    chain, literal = [], []
+    for seed in range(200):
+        oracle = LabelingOracle(u, model, np.random.default_rng([seed, 1]))
+        report = active_perceptron(oracle, w0, schedule, np.random.default_rng([seed, 2]))
+        w = report.final
+        chain.append((geometry.angle(w, u), w @ w0, w @ q, report.traces[0].theta_after,
+                      report.total_unlabeled))
+        oracle = LabelingOracle(u, model, np.random.default_rng([seed, 3]))
+        rng = np.random.default_rng([seed, 4])
+        w, angles, total = w0, [], 0
+        for b in widths:
+            w, draws = literal_epoch(oracle, w, m, b, rng)
+            angles.append(geometry.angle(w, u))
+            total += draws
+        literal.append((angles[-1], w @ w0, w @ q, angles[0], total))
+    chain, literal = np.array(chain), np.array(literal)
+    for column in range(5):
         assert stats.ks_2samp(chain[:, column], literal[:, column]).pvalue > 0.01
 
 
@@ -214,7 +274,7 @@ def test_band_of_tiny_mass_costs_one_step_per_label():
     oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 13)
     p = band_mass(D, b / 2.0, b)
     assert 1e-9 < p < 1e-8
-    w, labels, draws = mod_perceptron(oracle, w0, m, b, rng)
+    w, labels, draws = one_epoch(oracle, w0, m, b, rng)
     assert labels == oracle.queries == m
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
     assert abs(draws - m / p) <= 5.0 * math.sqrt(m * (1.0 - p)) / p
@@ -233,7 +293,7 @@ def test_epoch_memory_is_linear_in_d_plus_one_chunk(m):
     d = 100_000
     oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 12, d)
     (w, labels, _), peak = traced_peak_bytes(
-        lambda: mod_perceptron(oracle, w0, m, 1.0 / (10.0 * math.sqrt(d)), rng))
+        lambda: one_epoch(oracle, w0, m, 1.0 / (10.0 * math.sqrt(d)), rng))
     assert labels == m and abs(np.linalg.norm(w) - 1.0) <= 1e-12
     assert peak < 8 * (8 * d) + STEP_BYTES * learner.TAPE_STEPS
 
@@ -257,16 +317,18 @@ def test_scalar_labels_match_flip_coins_and_radius(model):
 
 @pytest.mark.parametrize("width", sorted(WIDTHS))
 def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
+    # Inputs are checked once per run: the count depends neither on the
+    # labels an epoch spends nor on the number of epochs.
     oracle, w0, rng = fresh(NoiseModel.bounded(0.2), 4)
     calls = []
     check_unit = geometry.check_unit
     monkeypatch.setattr(geometry, "check_unit", lambda *a, **k: calls.append(1) or check_unit(*a, **k))
     counts = []
-    for m in (10, 300):
+    for m, epochs in ((10, 1), (300, 1), (10, 5)):
         calls.clear()
-        mod_perceptron(oracle, w0, m, WIDTHS[width], rng)
+        active_perceptron(oracle, w0, Schedule(0.5, (m,) * epochs, (WIDTHS[width],) * epochs), rng)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2
+    assert counts[0] == counts[1] == counts[2] <= 5
 
 
 # sha256 of the concatenated CSVs of the twelve sweeps below. Any change to
@@ -283,7 +345,11 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
 # geometry.cos_sin in place of a clamped acos of the dot product: only the
 # last printed digits of some final_angle values moved (acos loses relative
 # precision at small angles); labels, draws and successes did not change.
-GOLDEN_SWEEP_SHA256 = "14f9b780742aa087eb28bdb8314dd0c52317685b2e235c9d4d0413ebc8aaeff8"
+# Re-pinned when a run became one chain across its epochs: the sampler's
+# generator no longer draws a Gaussian d-vector at each inner epoch
+# boundary, only one at the end of the run, so every row of these
+# multi-epoch trials changed once (a one-epoch trial's stream is unchanged).
+GOLDEN_SWEEP_SHA256 = "d500210946d378de300f5ec9edfa74b0c070b4bd713e147c810599f497c38c14"
 
 
 def test_golden_sweep_digest(tmp_path):
@@ -303,25 +369,23 @@ def test_golden_sweep_digest(tmp_path):
     model=st.sampled_from(MODELS),
     b=st.floats(0.004, 0.5),
     charge_rejected=st.booleans(),
-    epochs=st.lists(st.integers(0, 25), min_size=1, max_size=4),
+    epochs=st.lists(st.integers(1, 25), min_size=1, max_size=4),
     seed=st.integers(0, 10**6),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_accounting_and_unit_iterates(d, model, b, charge_rejected, epochs, seed):
     gen = np.random.default_rng(seed)
     oracle = LabelingOracle(sample_uniform_sphere(d, gen), model, np.random.default_rng(seed + 1))
-    w = sample_uniform_sphere(d, gen)
-    # The chain's iterates exist as vectors only at the ends of epochs (and
-    # an epoch of m = 0 steps returns its start untouched).
-    for m in epochs:
-        before = oracle.queries
-        w_in = w
-        w, labels, draws = mod_perceptron(oracle, w, m, b, gen, charge_rejected=charge_rejected)
-        assert labels == oracle.queries - before
-        assert draws >= labels >= m
-        assert labels == (draws if charge_rejected else m)
-        assert w.shape == (d,) and math.isclose(np.linalg.norm(w), 1.0, abs_tol=1e-9)
-        assert (w is w_in) == (m == 0)
+    v0 = sample_uniform_sphere(d, gen)
+    # The chain's iterate is a vector only at the run's two ends.
+    schedule = Schedule(0.5, tuple(epochs), (b,) * len(epochs))
+    report = active_perceptron(oracle, v0, schedule, gen, charge_rejected=charge_rejected)
+    assert report.total_labels == oracle.queries
+    for m, trace in zip(epochs, report.traces):
+        assert trace.unlabeled_draws >= trace.labels >= m
+        assert trace.labels == (trace.unlabeled_draws if charge_rejected else m)
+    w = report.final
+    assert w.shape == (d,) and math.isclose(np.linalg.norm(w), 1.0, abs_tol=1e-9)
 
 
 def reference_run_chain(chain, tape, coins, radius):

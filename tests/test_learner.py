@@ -16,11 +16,12 @@ from percband.learner import (
     active_perceptron,
     check_band_floor,
     make_schedule,
-    mod_perceptron,
     mod_perceptron_params,
     modified_perceptron_step,
 )
 from percband.oracles import LabelingOracle, NoiseModel
+
+from conftest import one_epoch
 
 
 class TestModifiedPerceptronStep:
@@ -134,6 +135,8 @@ class TestSchedule:
             mod_perceptron_params(10, math.pi / 2, 0.1, 1.0, scale_m=-1.0)
         with pytest.raises(ValueError):
             Schedule(epsilon=0.1, m=(5,), b=(0.1, 0.2))
+        with pytest.raises(ValueError):
+            Schedule(epsilon=0.1, m=(0,), b=(0.1,))
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_epsilon_outside_unit_interval_refused(self, epsilon):
@@ -196,25 +199,19 @@ def run_stage(model, seed, theta0=math.pi / 4, d=5, delta=0.1):
     w0 = geometry.normalize(math.cos(theta0) * u + math.sin(theta0) * q)
     m, b = mod_perceptron_params(d, theta0, delta, model.zeta)
     oracle = LabelingOracle(u, model, np.random.default_rng(seed + 10_000))
-    w, labels, draws = mod_perceptron(oracle, w0, m, b, np.random.default_rng(seed + 20_000))
+    w, labels, draws = one_epoch(oracle, w0, m, b, np.random.default_rng(seed + 20_000))
     assert labels == m
     assert oracle.queries == m
     return geometry.angle(w, u)
 
 
 class TestModPerceptron:
-    def test_zero_iterations(self, rng):
-        oracle = LabelingOracle(sample_uniform_sphere(5, rng), NoiseModel.realizable(), rng)
-        w0 = sample_uniform_sphere(5, rng)
-        w, labels, draws = mod_perceptron(oracle, w0, 0, 0.1, rng)
-        assert np.array_equal(w, w0) and labels == 0 and draws == 0
-
     def test_band_below_the_mass_floor_is_refused(self, rng):
         # Its draw counts would wrap in int64 instead of being returned.
         oracle = LabelingOracle(sample_uniform_sphere(5, rng), NoiseModel.realizable(), rng)
         w0 = sample_uniform_sphere(5, rng)
         with pytest.raises(ValueError, match="below the floor"):
-            mod_perceptron(oracle, w0, 1, 1e-300, rng)
+            one_epoch(oracle, w0, 1, 1e-300, rng)
         assert oracle.queries == 0
 
     def test_median_halving_realizable(self):

@@ -3,9 +3,11 @@ from scipy import stats
 
 from percband import geometry
 from percband.geometry import Band, sample_uniform_sphere
-from percband.learner import active_perceptron, make_schedule, mod_perceptron
+from percband.learner import active_perceptron, make_schedule
 from percband.oracles import LabelingOracle, NoiseModel
 from percband.passive import LabeledExampleSource
+
+from conftest import one_epoch
 
 
 def make_source(d=5, seed=0, model=None):
@@ -43,17 +45,11 @@ class TestLabeledExampleSource:
 
 
 class TestPassiveModPerceptron:
-    def test_zero_iterations(self, rng):
-        source, _ = make_source()
-        w0 = sample_uniform_sphere(5, rng)
-        w, drawn, _ = mod_perceptron(source.oracle, w0, 0, 0.1, rng, charge_rejected=True)
-        assert np.array_equal(w, w0) and drawn == 0
-
     def test_draws_at_least_m_and_counted(self, rng):
         source, _ = make_source(seed=5)
         w0 = sample_uniform_sphere(5, rng)
         m = 50
-        w, drawn, _ = mod_perceptron(source.oracle, w0, m, 0.05, rng, charge_rejected=True)
+        w, drawn, _ = one_epoch(source.oracle, w0, m, 0.05, rng, charge_rejected=True)
         assert drawn >= m
         assert source.oracle.queries == drawn
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
