@@ -10,7 +10,6 @@ from .geometry import (
     DimensionMismatch,
     angle,
     band_mass,
-    conditional_moment_oracle,
     disagreement_mass,
     normalize,
     sample_uniform_sphere,
@@ -49,7 +48,6 @@ __all__ = [
     "adversarial_threshold",
     "angle",
     "band_mass",
-    "conditional_moment_oracle",
     "disagreement_mass",
     "make_schedule",
     "mod_perceptron_params",

@@ -316,66 +316,3 @@ def draw_band_tape(
     margins = sample_margins(d, lower, upper, rng, n=n)
     tau = sphere_coordinates(d - 1, 2, rng, n)
     return BandTape(draws, margins, tau[0], tau[1])
-
-
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """Monte Carlo estimates of E[u.x], E[(u.x)^2], E[(u.x) 1{u.x < 0}]."""
-
-    mean: float
-    second_moment: float
-    negative_part_mean: float
-    se_mean: float
-    se_second: float
-    se_negative: float
-    n: int
-
-
-def conditional_moment_oracle(
-    u,
-    w,
-    xi: float,
-    n: int,
-    rng: np.random.Generator,
-) -> ConditionalMoments:
-    """Moments of u . x with x uniform on the slice {x on sphere : w . x = xi}.
-
-    Conditioned on its margin xi along w, a uniform sphere point is
-    xi * w + sqrt(1 - xi^2) * x_perp with x_perp uniform on the unit sphere of
-    w's orthogonal complement, so u . x = xi cos(theta) + sqrt(1 - xi^2)
-    sin(theta) t with t the first coordinate of a uniform point on the unit
-    sphere of R^(d-1) (:func:`sphere_coordinates`). The preconditions mirror
-    the regime in which the closed-form bounds on these moments hold:
-    theta in (0, 9 pi / 10] and 0 <= xi <= theta / (4 sqrt(d)).
-
-    t is drawn and reduced ``CHUNK_POINTS`` at a time.
-    """
-    uv = check_unit(u, "u")
-    wv = check_unit(w, "w")
-    check_same_dimension(uv, wv)
-    d = uv.shape[0]
-    cos_t, sin_t = cos_sin(uv, wv)
-    theta = math.atan2(sin_t, cos_t)
-    if not (0.0 < theta <= 0.9 * math.pi):
-        raise ValueError(f"angle between u and w must lie in (0, 9pi/10], got {theta}")
-    if not (0.0 <= xi <= theta / (4.0 * math.sqrt(d))):
-        raise ValueError(
-            f"xi must lie in [0, theta/(4 sqrt(d))] = [0, {theta / (4 * math.sqrt(d))}], got {xi}"
-        )
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    scale = math.sqrt(max(0.0, 1.0 - xi * xi)) * sin_t
-    sums = np.zeros(3)
-    sq_sums = np.zeros(3)
-    for start in range(0, n, CHUNK_POINTS):
-        t = sphere_coordinates(d - 1, 1, rng, min(CHUNK_POINTS, n - start))[0]
-        dots = xi * cos_t + scale * t
-        neg = dots * (dots < 0.0)
-        for i, vals in enumerate((dots, dots * dots, neg)):
-            sums[i] += vals.sum()
-            sq_sums[i] += np.square(vals).sum()
-
-    means = sums / n
-    ses = np.sqrt(np.maximum(sq_sums / n - means * means, 0.0) / n)
-    return ConditionalMoments(*means.tolist(), *ses.tolist(), n=n)

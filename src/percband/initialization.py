@@ -110,6 +110,8 @@ def acute_initialize(
     vectors the disagreement region is empty up to measure zero and the
     positive branch is returned outright.
     """
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     d, model = oracle.dimension, oracle.model
     if schedule is None:
         schedule = branch_schedule(d, model, delta)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,11 +36,21 @@ class NoiseModel:
     nu: float = 0.0
     margin: float = 1.0
 
-    _KINDS = ("realizable", "bounded", "bounded_margin", "adversarial")
+    # The fields each kind reads; the others must keep their defaults.
+    _KINDS = {
+        "realizable": (),
+        "bounded": ("eta",),
+        "bounded_margin": ("eta", "margin"),
+        "adversarial": ("nu",),
+    }
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in self._KINDS[self.kind] and value != f.default:
+                raise ValueError(f"{self.kind} noise does not read {f.name}, got {f.name}={value!r}")
         if not (0.0 <= self.eta < 0.5):
             raise ValueError(f"eta must lie in [0, 1/2), got {self.eta}")
         if not (0.0 <= self.nu <= 1.0):

@@ -107,6 +107,8 @@ def check_error_angle_relation(
     n_samples uniform points must match angle/pi within 3 binomial standard
     errors.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     results = []
     for i in range(n_pairs):
         a = geometry.sample_uniform_sphere(d, rng)
@@ -178,29 +180,42 @@ def check_conditional_moments(
 ) -> list[CheckResult]:
     """Slice-conditional moment estimates vs their closed-form upper bounds.
 
-    At margin xi = theta / (8 sqrt(d)) the three bounds are
-    E[u.x] <= xi, E[(u.x)^2] <= 5 theta^2 / d, and
+    For unit vectors u and w at angle theta and x uniform on the slice
+    w.x = xi of the sphere, u.x = xi cos(theta) + sqrt(1 - xi^2) sin(theta) t
+    with t the first coordinate of a uniform point on the unit sphere of
+    R^(d-1) (``geometry.sphere_coordinates``), drawn n times and reduced
+    ``geometry.CHUNK_POINTS`` at a time. At margin xi = theta / (8 sqrt(d))
+    the three bounds are E[u.x] <= xi, E[(u.x)^2] <= 5 theta^2 / d, and
     E[(u.x) 1{u.x<0}] <= xi - theta / (36 sqrt(d)), each allowed 3 standard
-    errors of slack.
+    errors of slack. They are claimed for theta in (0, 9 pi / 10].
     """
-    results = []
-    e1 = np.zeros(d)
-    e1[0] = 1.0
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     for theta in theta_list:
-        w = np.zeros(d)
-        w[0] = math.cos(theta)
-        w[1] = math.sin(theta)
+        if not (0.0 < theta <= 0.9 * math.pi):
+            raise ValueError(f"theta must lie in (0, 9 pi / 10], got {theta}")
+    results = []
+    for theta in theta_list:
         xi = theta / (8.0 * math.sqrt(d))
-        moments = geometry.conditional_moment_oracle(e1, w, xi, n, rng)
-        cases = (
-            ("mean", moments.mean, xi, moments.se_mean),
-            ("second_moment", moments.second_moment, 5.0 * theta**2 / d, moments.se_second),
-            (
-                "negative_part",
-                moments.negative_part_mean,
-                xi - theta / (36.0 * math.sqrt(d)),
-                moments.se_negative,
-            ),
+        cos_t = math.cos(theta)
+        scale = math.sqrt(1.0 - xi * xi) * math.sin(theta)
+        sums = np.zeros(3)
+        sq_sums = np.zeros(3)
+        for start in range(0, n, geometry.CHUNK_POINTS):
+            count = min(geometry.CHUNK_POINTS, n - start)
+            t = geometry.sphere_coordinates(d - 1, 1, rng, count)[0]
+            dots = xi * cos_t + scale * t
+            neg = dots * (dots < 0.0)
+            for i, vals in enumerate((dots, dots * dots, neg)):
+                sums[i] += vals.sum()
+                sq_sums[i] += np.square(vals).sum()
+        means = sums / n
+        ses = np.sqrt(np.maximum(sq_sums / n - means * means, 0.0) / n)
+        cases = zip(
+            ("mean", "second_moment", "negative_part"),
+            means.tolist(),
+            (xi, 5.0 * theta**2 / d, xi - theta / (36.0 * math.sqrt(d))),
+            ses.tolist(),
         )
         for label, stat, bound, se in cases:
             results.append(
@@ -263,6 +278,8 @@ def check_progress_measure(
     """
     if not (0.0 < theta <= 27.0 * math.pi / 50.0):
         raise ValueError(f"theta must lie in (0, 27 pi / 50], got {theta}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
     total = sq_total = worst = 0.0
     for deltas in _progress_chunks(model, d, theta, b, n_steps, rng):

@@ -12,7 +12,6 @@ from percband.geometry import (
     DimensionMismatch,
     angle,
     band_mass,
-    conditional_moment_oracle,
     disagreement_mass,
     rejection_sample_band,
     sample_uniform_sphere,
@@ -384,78 +383,6 @@ class TestRejectionSampleBand:
         )
         assert lower <= float(x @ band.normal) <= upper and draws >= 1
         assert peak < 8 * geometry.CHUNK_BYTES
-
-
-class TestConditionalMomentOracle:
-    def test_symmetric_slice_mean_zero(self, rng):
-        u, w = planted_pair(20, math.pi / 2, seed=3)
-        res = conditional_moment_oracle(u, w, 0.0, 200_000, rng)
-        assert abs(res.mean) <= 3.0 * res.se_mean
-
-    def test_conditional_moment_bounds(self, rng):
-        d = 20
-        for theta in (math.pi / 8, math.pi / 4):
-            u, w = planted_pair(d, theta, seed=4)
-            xi = theta / (8.0 * math.sqrt(d))
-            res = conditional_moment_oracle(u, w, xi, 300_000, rng)
-            assert res.mean <= xi + 3.0 * res.se_mean
-            assert res.second_moment <= 5.0 * theta**2 / d + 3.0 * res.se_second
-            assert res.negative_part_mean <= xi - theta / (36.0 * math.sqrt(d)) + 3.0 * res.se_negative
-
-    def test_chunked_reduction_matches_one_block(self):
-        # n spans two chunks and part of a third; the reference draws the
-        # same coordinates chunk by chunk and reduces them in one block.
-        d, theta = 20, math.pi / 4
-        n = 2 * geometry.CHUNK_POINTS + 1000
-        u, w = planted_pair(d, theta, seed=6)
-        xi = theta / (8.0 * math.sqrt(d))
-        new, ref = np.random.default_rng(6), np.random.default_rng(6)
-        res = conditional_moment_oracle(u, w, xi, n, new)
-        sizes = [geometry.CHUNK_POINTS, geometry.CHUNK_POINTS, 1000]
-        t = np.concatenate([geometry.sphere_coordinates(d - 1, 1, ref, k)[0] for k in sizes])
-        dots = xi * math.cos(theta) + math.sqrt(1.0 - xi * xi) * math.sin(theta) * t
-        assert new.bit_generator.state == ref.bit_generator.state
-        for vals, mean, se in (
-            (dots, res.mean, res.se_mean),
-            (dots * dots, res.second_moment, res.se_second),
-            (np.minimum(dots, 0.0), res.negative_part_mean, res.se_negative),
-        ):
-            assert mean == pytest.approx(vals.mean(), rel=1e-12, abs=0.0)
-            assert se == pytest.approx(vals.std() / math.sqrt(n), rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("d,theta", [(3, 0.3), (10, 1.0), (25, 2.5)])
-    def test_moments_match_literal_points(self, d, theta):
-        # The reference projects whole d-wide Gaussian rows off w; each
-        # estimate agrees with the oracle's within 4 joint standard errors.
-        n = 100_000
-        u, w = planted_pair(d, theta, seed=d)
-        xi = theta / (8.0 * math.sqrt(d))
-        res = conditional_moment_oracle(u, w, xi, n, np.random.default_rng([d, 1]))
-        g = np.random.default_rng([d, 2]).standard_normal((n, d))
-        g -= np.outer(g @ w, w)
-        dots = xi * (u @ w) + math.sqrt(1.0 - xi * xi) * (g @ u) / np.linalg.norm(g, axis=1)
-        for vals, mean, se in (
-            (dots, res.mean, res.se_mean),
-            (dots * dots, res.second_moment, res.se_second),
-            (np.minimum(dots, 0.0), res.negative_part_mean, res.se_negative),
-        ):
-            assert abs(mean - vals.mean()) <= 4.0 * math.hypot(se, vals.std() / math.sqrt(n))
-
-    def test_second_moment_analytic_bound_value(self, rng):
-        # 5 theta^2 / d at theta = pi/4, d = 20.
-        bound = 5.0 * (math.pi / 4) ** 2 / 20
-        assert bound == pytest.approx(0.15421, abs=5e-5)
-        u, w = planted_pair(20, math.pi / 4, seed=8)
-        res = conditional_moment_oracle(u, w, 0.0, 100_000, rng)
-        assert res.second_moment <= bound
-
-    def test_precondition_violations(self, rng):
-        u, w = planted_pair(10, math.pi / 4, seed=5)
-        big_xi = math.pi  # far above theta / (4 sqrt(d))
-        with pytest.raises(ValueError):
-            conditional_moment_oracle(u, w, big_xi, 100, rng)
-        with pytest.raises(ValueError):
-            conditional_moment_oracle(u, u, 0.0, 100, rng)  # theta = 0
 
     def test_matches_band_sampler_margins(self, rng):
         # The tape's construction around the band normal and the literal band

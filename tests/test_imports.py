@@ -1,10 +1,15 @@
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import percband
 
 PACKAGE = pathlib.Path(percband.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+ROOT = TESTS.parent
 
 
 def private_imports(path: pathlib.Path) -> list[str]:
@@ -72,3 +77,23 @@ def test_no_module_or_test_imports_a_name_it_never_uses():
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert len(files) > 15
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def run_with_benchmark_path(args: list[str]) -> str:
+    """Run python with ``src`` and ``perfbench`` on its path, as the
+    benchmark does, and return what it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_benchmark_finds_every_name_it_uses():
+    # The tracer looks up every function and method it wraps when it is
+    # built, and the set-up probe builds each workload's configurations, so
+    # a src change that removes a name the benchmark needs fails here.
+    run_with_benchmark_path(["-c", "import tracer; t = tracer.Tracer(); t.install(); t.uninstall()"])
+    workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert workloads
+    for workload in workloads:
+        out = run_with_benchmark_path(["perfbench/setup_probe.py", "--workload", workload["name"], "--seed", "1"])
+        assert json.loads(out)["setup_s"] > 0.0

@@ -129,6 +129,16 @@ class TestAcuteInitialize:
             acute_initialize(oracle, delta, rng)
         assert oracle.queries == 0
 
+    @pytest.mark.parametrize("delta", [1.5, 7.0, 0.0])
+    def test_delta_refused_with_a_schedule(self, rng, delta):
+        oracle = LabelingOracle(
+            geometry.sample_uniform_sphere(5, rng), NoiseModel.realizable(), rng
+        )
+        schedule = initialization.branch_schedule(5, oracle.model, 0.1)
+        with pytest.raises(ValueError, match="delta"):
+            acute_initialize(oracle, delta, rng, schedule=schedule)
+        assert oracle.queries == 0
+
     def test_branch_runs_record_angles_and_success(self):
         model = NoiseModel.bounded(0.2)
         result, target, _ = init_trial(model, seed=6)

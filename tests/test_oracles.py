@@ -30,6 +30,18 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(kind="weird")
 
+    @pytest.mark.parametrize("fields", [
+        {"kind": "realizable", "eta": 0.3},
+        {"kind": "realizable", "margin": 0.5},
+        {"kind": "bounded", "eta": 0.2, "margin": 0.5},
+        {"kind": "bounded", "eta": 0.2, "nu": 0.1},
+        {"kind": "bounded_margin", "eta": 0.2, "margin": 0.5, "nu": 0.1},
+        {"kind": "adversarial", "nu": 0.01, "eta": 0.4},
+    ], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
+    def test_field_its_kind_does_not_read_is_refused(self, fields):
+        with pytest.raises(ValueError, match="does not read"):
+            NoiseModel(**fields)
+
     def test_zeta(self):
         assert NoiseModel.realizable().zeta == 1.0
         assert NoiseModel.bounded(0.2).zeta == pytest.approx(0.6)

@@ -44,7 +44,7 @@ def literal_count_disagreements(a, b, n, rng):
 #   instead of whole d-wide Gaussian rows: two normals per point for the
 #   disagreement count, one sphere coordinate (a normal and a chi-square) per
 #   point for the moment and progress checks. The tests of count_disagreements,
-#   conditional_moment_oracle and sphere_coordinates compare each reduction
+#   check_conditional_moments and sphere_coordinates compare each reduction
 #   with the literal d-wide draw;
 # - when the disagreement count came to draw each point as two uniforms on
 #   the unit disk by rejection from the square instead of two normals: the
@@ -95,6 +95,10 @@ class TestErrorAngleCheck:
             assert count == int(np.sum((p >= 0.0) != (cos * p + sin * q >= 0.0)))
             assert new.bit_generator.state == ref.bit_generator.state
 
+    def test_no_samples_refused(self, rng):
+        with pytest.raises(ValueError, match="n_samples"):
+            check_error_angle_relation(10, 1, 0, rng)
+
     def test_equal_and_opposite_pairs_are_exact(self, rng):
         a = geometry.sample_uniform_sphere(10, rng)
         assert count_disagreements(a, a, SPAN, rng) == 0
@@ -142,6 +146,48 @@ class TestConditionalMomentCheck:
         )
         assert all(r.passed for r in results)
         assert peak < 8 * geometry.CHUNK_BYTES
+
+    def test_chunked_reduction_matches_one_block(self):
+        # n spans two chunks and part of a third; the reference draws the
+        # same coordinates chunk by chunk and reduces them in one block. Each
+        # row's margin is 3 standard errors.
+        d, theta, n = 20, math.pi / 4, SPAN
+        xi = theta / (8.0 * math.sqrt(d))
+        new, ref = np.random.default_rng(6), np.random.default_rng(6)
+        mean, second, negative = check_conditional_moments(d, [theta], n, new)
+        sizes = [geometry.CHUNK_POINTS, geometry.CHUNK_POINTS, 1000]
+        t = np.concatenate([geometry.sphere_coordinates(d - 1, 1, ref, k)[0] for k in sizes])
+        dots = xi * math.cos(theta) + math.sqrt(1.0 - xi * xi) * math.sin(theta) * t
+        assert new.bit_generator.state == ref.bit_generator.state
+        for vals, row in ((dots, mean), (dots * dots, second), (np.minimum(dots, 0.0), negative)):
+            assert row.statistic == pytest.approx(vals.mean(), rel=1e-12, abs=0.0)
+            assert row.margin / 3.0 == pytest.approx(vals.std() / math.sqrt(n), rel=1e-12, abs=0.0)
+        # 5 theta^2 / d at theta = pi/4, d = 20.
+        assert second.bound == pytest.approx(0.15421, abs=5e-5)
+
+    @pytest.mark.parametrize("d,theta", [(3, 0.3), (10, 1.0), (25, 2.5)])
+    def test_moments_match_literal_points(self, d, theta):
+        # The reference projects whole d-wide Gaussian rows off w; each
+        # estimate agrees with the check's within 4 joint standard errors.
+        n = 100_000
+        u, w = planted_pair(d, theta, seed=d)
+        xi = theta / (8.0 * math.sqrt(d))
+        rows = check_conditional_moments(d, [theta], n, np.random.default_rng([d, 1]))
+        g = np.random.default_rng([d, 2]).standard_normal((n, d))
+        g -= np.outer(g @ w, w)
+        dots = xi * (u @ w) + math.sqrt(1.0 - xi * xi) * (g @ u) / np.linalg.norm(g, axis=1)
+        for vals, row in zip((dots, dots * dots, np.minimum(dots, 0.0)), rows):
+            se = row.margin / 3.0
+            assert abs(row.statistic - vals.mean()) <= 4.0 * math.hypot(se, vals.std() / math.sqrt(n))
+
+    @pytest.mark.parametrize(
+        "theta,n", [(0.0, 100), (math.pi, 100), (math.pi / 4, 0)], ids=["theta=0", "theta=pi", "n=0"]
+    )
+    def test_refuses_angle_outside_range_or_no_samples(self, rng, theta, n):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="theta|n must"):
+            check_conditional_moments(10, [math.pi / 8, theta], n, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestProgressMeasureCheck:
@@ -193,6 +239,10 @@ class TestProgressMeasureCheck:
         coarse = [r for r in results if "coarse" in r.name][0]
         _, b = mod_perceptron_params(d, theta, 0.1, 1.0)
         assert coarse.bound == pytest.approx(16.0 * b * theta / 3.0, rel=1e-12, abs=0.0)
+
+    def test_no_steps_refused(self, rng):
+        with pytest.raises(ValueError, match="n_steps"):
+            check_progress_measure(NoiseModel.realizable(), 10, 0.5, 0, rng)
 
     def test_theta_out_of_range_rejected(self, rng):
         with pytest.raises(ValueError):
