@@ -15,6 +15,7 @@ timing is enabled (it defaults to off to keep output byte-reproducible).
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -198,8 +199,9 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
 
 
 def _execute(config: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[TrialRow]:
-    """Run (value_index, trial_index) tasks; rows come back in task order."""
-    workers = min(config.jobs, len(tasks))
+    """Run (value_index, trial_index) tasks; rows come back in task order.
+    The pool has at most one worker per task and per CPU."""
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here so that single-process runs do not import multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -34,7 +34,6 @@ from . import geometry
 from .learner import (
     DEFAULT_SCALE_B,
     DEFAULT_SCALE_M,
-    MIN_EPSILON,
     RunReport,
     Schedule,
     active_perceptron,
@@ -82,17 +81,10 @@ def branch_schedule(
     scale_b: float = DEFAULT_SCALE_B,
 ) -> Schedule:
     """The epoch schedule each of the two branch runs follows: target error
-    (1 - 2 eta) / 16 at failure budget delta / 3. Bounded noise with eta so
-    near 1/2 that this target falls below the schedules' floor is refused."""
+    (1 - 2 eta) / 16 at failure budget delta / 3."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    epsilon = model.zeta / 16.0
-    if epsilon < MIN_EPSILON:
-        raise ValueError(
-            f"init's branch runs target (1 - 2 eta) / 16 = {epsilon:g}, "
-            f"below the epsilon floor {MIN_EPSILON:g}"
-        )
-    return make_schedule(d, epsilon, delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
+    return make_schedule(d, model.zeta / 16.0, delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
 
 
 def acute_initialize(

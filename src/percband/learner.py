@@ -21,11 +21,18 @@ costs O(1) in any dimension. The chain is exact because the update's kernel
 is equivariant under rotations: those that fix t and w0 map the whole run to
 an equally likely one with the same (a, b) path, whatever band each step
 uses, so (a, b) is a Markov chain across epochs and, given its path, the
-rest of w (norm c = sqrt(1 - a^2 - b^2)) has a direction uniform on the
-unit sphere of span(t, e)'s complement. The run ends by drawing that
-direction, which gives w the law it has under the literal loop of
+rest of w (of norm c) has a direction uniform on the unit sphere of
+span(t, e)'s complement. The run ends by drawing that direction, which
+gives w the law it has under the literal loop of
 :func:`modified_perceptron_step` on the literal band sampler;
 ``tests/test_engine.py`` replays runs through that loop.
+
+The chain carries pa = sin(angle(w, t)) = |(b, c)| as well as a = cos, and
+updates it at a fire from its own value, so every angle of a run, read as
+atan2(|(b, c)|, a), keeps its relative precision down to the smallest
+angles a schedule asks for: a alone rounds to 1 below about 1.5e-8. The
+only limit on epsilon is then the band-mass floor MIN_BAND_MASS, below
+which a step's draw count is no longer exact.
 
 The theory-grade schedule constants make m_k astronomically large (the proof
 constants are (3200 pi)^3 and 1/(2 (600 pi)^2)); they are exposed here as
@@ -56,20 +63,6 @@ THEORY_SCALE_B = 1.0 / (2.0 * (600.0 * math.pi) ** 2)
 # (see the acceptance suite). The proof constants remain available above.
 DEFAULT_SCALE_M = 4.0
 DEFAULT_SCALE_B = 0.5
-
-# The smallest target error a schedule takes. The chain stores a = cos(theta),
-# which rounds to 1 below theta ~ 1.5e-8 (the root of the float64 epsilon):
-# there pa = 0 and a realizable run stops moving, so a smaller epsilon would
-# ask for an angle the chain cannot resolve. At 1e-7, pi * epsilon is about
-# 20 times that resolution. Above the floor, a run's final_angle is still
-# quantized once it nears 1.5e-8: a near 1 takes only the float64 values
-# 1 - k 2^-53, so the angle stays at about sqrt(k) 2^-26 (1.49e-8,
-# 2.11e-8, ...), and below 1.49e-8 the chain departs from the literal law.
-# `run --d 10 --epsilon 1e-6 --trials 20 --seed 5` reports 15 final angles
-# of 1.4901e-8 and 5 of 2.1073e-8. Labels, draws and succeeded do not
-# depend on it (m is fixed, draws do not depend on the chain, and
-# 1.5e-8 < pi * epsilon); carrying sin(theta) in the chain would mend it.
-MIN_EPSILON = 1e-7
 
 # An epoch draws its randomness in chunks of at most this many steps; a
 # step's tape row is a few scalars in any dimension.
@@ -140,21 +133,10 @@ def mod_perceptron_params(
     return m, b
 
 
-def _epoch_band_mass(d: int, b: float) -> float:
-    """The mass of the band [b/2, b] in R^d, refused below MIN_BAND_MASS."""
-    p = geometry.band_mass(d, b / 2.0, b)
-    if not p >= MIN_BAND_MASS:
-        raise ValueError(
-            f"the band [b/2, b] at d = {d}, b = {b:.3g} has mass {p:.3g}, below the floor "
-            f"{MIN_BAND_MASS:.3g} at which draw counts stay exact"
-        )
-    return p
-
-
 def _check_epsilon(epsilon: float) -> None:
-    """Refuse a target error outside [MIN_EPSILON, 1), NaN included."""
-    if not (MIN_EPSILON <= epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in [{MIN_EPSILON:g}, 1), got {epsilon}")
+    """Refuse a target error outside (0, 1), NaN included."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -196,22 +178,29 @@ def make_schedule(
     _check_epsilon(epsilon)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    k0 = max(1, math.ceil(math.log2(1.0 / epsilon) - 1e-9))
+    k0 = max(1, math.ceil(-math.log2(epsilon) - 1e-9))
     m, b = zip(*(
-        mod_perceptron_params(d, math.pi / 2.0**k, delta / (k * (k + 1)), model.zeta, scale_m, scale_b)
+        mod_perceptron_params(d, math.ldexp(math.pi, -k), delta / (k * (k + 1)), model.zeta, scale_m, scale_b)
         for k in range(1, k0 + 1)
     ))
     return Schedule(epsilon, m, b)
 
 
-def check_band_floor(d: int, schedule: Schedule) -> None:
-    """Refuse a schedule with a band of mass below MIN_BAND_MASS.
+def check_band_floor(d: int, schedule: Schedule) -> tuple[float, ...]:
+    """The masses of the schedule's bands [b/2, b] in R^d; a band of mass
+    below MIN_BAND_MASS is refused.
 
     A band mass takes O(d) time, so a caller that also bounds the steps of
     a run checks them first.
     """
-    for b in schedule.b:
-        _epoch_band_mass(d, b)
+    masses = tuple(geometry.band_mass(d, b / 2.0, b) for b in schedule.b)
+    for b, p in zip(schedule.b, masses):
+        if not p >= MIN_BAND_MASS:
+            raise ValueError(
+                f"the band [b/2, b] at d = {d}, b = {b:.3g} has mass {p:.3g}, below the floor "
+                f"{MIN_BAND_MASS:.3g} at which draw counts stay exact"
+            )
+    return masses
 
 
 @dataclass(frozen=True)
@@ -229,8 +218,9 @@ class EpochTrace:
 class RunReport:
     """Outcome of a full multi-epoch run; a pure function of its inputs.
 
-    ``succeeded`` is angle(final, target) <= pi * epsilon for the oracle's
-    target and the schedule's epsilon.
+    ``succeeded`` is the last epoch's theta_after <= pi * epsilon for the
+    schedule's epsilon. theta_after is the chain's angle to the oracle's
+    target, which is the angle of ``final`` to it up to rounding.
     """
 
     final: np.ndarray
@@ -273,18 +263,21 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
 
     The point of a step is x = xi w + s v, with s = sqrt(1 - xi^2) and v
     uniform on the unit sphere orthogonal to w, whose coordinates along
-    u1 = (t - a w) / pa and u2 = (c e - b z) / pa (pa = sqrt(1 - a^2), z the
-    direction of the rest of w) are the tape's (tau1, tau2). Then
-    t . x = xi a + s pa tau1 and e . x = xi b + s (c tau2 - a b tau1) / pa.
+    u1 = (t - a w) / pa and u2 = (c e - b z) / pa (pa = sin(angle(w, t)) =
+    |(b, c)|, z the direction of the rest of w) are the tape's (tau1, tau2).
+    Then t . x = xi a + s pa tau1 and e . x = xi b + s (c tau2 - a b tau1) / pa.
     When pa = 0 (w = +-t), u1 = e and e . x = xi b + s tau1. A step that
-    does not fire costs a few float operations. c is recomputed from (a, b)
-    only at a fire, so it stays exactly 0 until the first one. Square roots
-    of a negative, -0.0 or NaN radicand read 0.0, and pa = 0 forces c = 0.
+    does not fire costs a few float operations.
+
+    pa is carried, not recomputed from a: a fire that moves a by step sets
+    pa^2 = 1 - (a - step)^2 = pa^2 + step (2 a - step) and c^2 = pa^2 - b^2,
+    which keep their relative precision at angles where a rounds to 1. c
+    stays exactly 0 until the first fire. Square roots of a negative, -0.0
+    or NaN radicand read 0.0, and pa = 0 forces c = 0.
     """
     sqrt = math.sqrt
     a, b, c = chain
-    q = (1.0 - a) * (1.0 + a)
-    pa = sqrt(q) if q > 0.0 else 0.0
+    pa = math.hypot(b, c)
     margins = tape.margins
     s = np.sqrt((1.0 - margins) * (1.0 + margins))
     rows = zip(margins.tolist(), (s * tape.tau1).tolist(), (s * tape.tau2).tolist(),
@@ -293,9 +286,10 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
         tx = xi * a + pa * st1
         if (tx >= 0.0) == (coin and abs(tx) <= radius):
             ex = xi * b + ((c * st2 - a * b * st1) / pa if pa > 0.0 else st1)
-            a -= 2.0 * xi * tx
+            step = 2.0 * xi * tx
+            q = pa * pa + step * (2.0 * a - step)
+            a -= step
             b -= 2.0 * xi * ex
-            q = (1.0 - a) * (1.0 + a)
             if q > 0.0:
                 pa = sqrt(q)
                 q -= b * b
@@ -303,6 +297,12 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
             else:
                 pa = c = 0.0
     return a, b, c
+
+
+def _chain_angle(chain) -> float:
+    """The angle between the iterate and the target, atan2(|(b, c)|, a)."""
+    a, b, c = chain
+    return math.atan2(math.hypot(b, c), a)
 
 
 def _iterate(target, e, chain, rng) -> np.ndarray:
@@ -334,23 +334,23 @@ def active_perceptron(
     then the label coins from the oracle's generator; at the end the final
     vector takes its residual direction from ``rng``. A step's draw count is
     one Geometric(p) number, so an epoch costs O(m) whatever its band mass p;
-    a band of mass below MIN_BAND_MASS raises ValueError.
+    a band of mass below MIN_BAND_MASS raises ValueError before the first
+    draw.
 
     The acute start (angle(v0, target) <= pi/2) is the caller's
-    responsibility; see the initialization module. Angles are measured
-    against ``oracle.target``: the first and last by :func:`geometry.angle`
-    on v0 and the final vector, so ``succeeded`` is angle(final, target) <=
-    pi * schedule.epsilon, and those between epochs as atan2(|(b, c)|, a) of
-    the chain state.
+    responsibility; see the initialization module. Every angle is read off
+    the chain state, as the angle to ``oracle.target``, at the start and at
+    each epoch's end; ``succeeded`` is the last <= pi * schedule.epsilon.
     """
     v = geometry.check_unit(v0, "v0")
     target = oracle.target
-    theta = geometry.angle(v, target)
+    geometry.check_same_dimension(v, target)
     d = v.shape[0]
+    masses = check_band_floor(d, schedule)
     e, chain = _start_chain(target, v)
+    theta = _chain_angle(chain)
     traces: list[EpochTrace] = []
-    for k, (m, b) in enumerate(zip(schedule.m, schedule.b), start=1):
-        p = _epoch_band_mass(d, b)
+    for k, (m, b, p) in enumerate(zip(schedule.m, schedule.b, masses), start=1):
         draws = 0
         for done in range(0, m, TAPE_STEPS):
             n = min(TAPE_STEPS, m - done)
@@ -359,11 +359,7 @@ def active_perceptron(
             draws += int(tape.draws.sum())
         labels = draws if charge_rejected else m
         oracle.charge_queries(labels)
-        if k < schedule.epochs:
-            theta_after = math.atan2(math.hypot(chain[1], chain[2]), chain[0])
-        else:
-            v = _iterate(target, e, chain, rng)
-            theta_after = geometry.angle(v, target)
-        traces.append(EpochTrace(k, theta, theta_after, labels, draws))
-        theta = theta_after
-    return RunReport(final=v, traces=traces, succeeded=theta <= math.pi * schedule.epsilon)
+        traces.append(EpochTrace(k, theta, _chain_angle(chain), labels, draws))
+        theta = traces[-1].theta_after
+    return RunReport(final=_iterate(target, e, chain, rng), traces=traces,
+                     succeeded=theta <= math.pi * schedule.epsilon)

@@ -87,15 +87,15 @@ class TestRunSingle:
             assert row.unlabeled_draws == row.report.total_unlabeled
 
     def test_trial_measures_each_epoch_boundary_once(self, monkeypatch):
-        # K epochs have K + 1 boundaries. Only the run's two ends are
-        # vectors, measured by geometry.angle; the K - 1 between them are
-        # read off the chain. The row's final angle is the last.
+        # K epochs have K + 1 boundaries, all read off the chain state, so no
+        # vector is measured by geometry.angle. The row's final angle is the
+        # last.
         calls = []
         angle = geometry.angle
         monkeypatch.setattr(geometry, "angle", lambda *a: calls.append(1) or angle(*a))
         row = run_trial(ExperimentConfig(d=10, epsilon=0.05, trials=1), 0, 0)
         assert len(row.report.traces) == 5
-        assert len(calls) == 2
+        assert len(calls) == 0
         assert row.final_angle == row.report.traces[-1].theta_after
 
     def test_rows_deterministic(self, tmp_path):
@@ -125,14 +125,15 @@ class TestRunSingle:
             run_suite(4, n_samples=0)
 
     def test_config_refuses_epsilon_below_the_floor(self):
-        # Refused when the config is built, not when its first trial runs.
-        assert ExperimentConfig(epsilon=learner.MIN_EPSILON).epsilon == learner.MIN_EPSILON
-        with pytest.raises(ValueError, match="epsilon must lie in"):
-            ExperimentConfig(epsilon=1e-10)
+        # The band-mass floor is the only limit on epsilon; check_bands
+        # refuses a config whose schedules fall below it, before any trial.
+        bench.check_bands(ExperimentConfig(epsilon=1e-9))
+        with pytest.raises(ValueError, match="below the floor"):
+            bench.check_bands(ExperimentConfig(epsilon=1e-10))
         # init's branch runs target (1 - 2 eta) / 16, whatever epsilon says.
-        ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.49))
-        with pytest.raises(ValueError, match="branch runs target"):
-            ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.4999999))
+        bench.check_bands(ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.49)))
+        with pytest.raises(ValueError, match="below the floor"):
+            bench.check_bands(ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.4999999)))
 
     @pytest.mark.parametrize("mode", ["active", "init"])
     @pytest.mark.parametrize("scales", [dict(scale_m=-1.0), dict(scale_b=0.0), dict(scale_m=math.inf)])
@@ -198,8 +199,11 @@ class TestSweep:
             map = staticmethod(map)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
         assert len(run_single(small_config(jobs=64, trials=2))) == 2
-        assert workers == [2]
+        # Nor larger than the CPU count: --jobs 64 on 4 CPUs starts 4.
+        assert len(run_single(small_config(jobs=64, trials=64))) == 64
+        assert workers == [2, 4]
 
     def test_parallel_jobs_reproduce_serial_bytes(self, tmp_path):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -373,15 +377,31 @@ class TestCli:
         assert main(["run", "--d", "10", "--epsilon", "1e-6", "--trials", "1"]) == 0
 
     def test_epsilon_below_the_floor_is_a_usage_error(self, capsys):
-        # Below about 1.5e-8 the chain's a = cos(theta) rounds to 1 and acos
-        # reads 0, so these trials used to report success at true angles
-        # above pi * epsilon.
+        # At d = 10 the last band of epsilon = 1e-10 has mass 7.7e-13, below
+        # the band-mass floor, which is the only limit on epsilon.
         with pytest.raises(SystemExit) as exc:
             main(["run", "--d", "10", "--epsilon", "1e-10", "--trials", "3", "--seed", "3"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert f"epsilon must lie in [{learner.MIN_EPSILON:g}, 1)" in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "below the floor" in err
+
+    def test_small_final_angles_are_not_quantized(self, tmp_path):
+        # Near 1, a = cos(theta) takes only the values 1 - k 2^-53, so angles
+        # read from a alone are quantized: these 20 final angles would be 15
+        # of 1.4901e-8 and 5 of 2.1073e-8.
+        out = tmp_path / "run.csv"
+        assert main(["run", "--d", "10", "--epsilon", "1e-6", "--trials", "20", "--seed", "5",
+                     "--out", str(out)]) == 0
+        angles = [float(line.split(",")[12]) for line in out.read_text().splitlines()[1:]]
+        assert len(angles) == 20
+        assert not {f"{a:.4e}" for a in angles} <= {"1.4901e-08", "2.1073e-08"}
+        assert len(set(angles)) == 20
+
+    def test_epsilon_down_to_the_band_floor_runs(self, capsys):
+        assert main(["run", "--d", "10", "--epsilon", "1e-9", "--trials", "5", "--seed", "3"]) == 0
+        assert "5 trials: 5 succeeded" in capsys.readouterr().out
 
     def test_help_wraps_at_the_terminal_width(self, monkeypatch, capsys):
         lines = {}

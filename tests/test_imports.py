@@ -1,7 +1,9 @@
 import ast
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -77,6 +79,27 @@ def test_no_module_or_test_imports_a_name_it_never_uses():
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert len(files) > 15
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def readme_module_names() -> list[tuple[str, str]]:
+    """Every (module, NAME) of a code span in README.md that starts with
+    `module.NAME`, for a percband module or the package itself."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} | {"percband"}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return sorted({(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)", text) if m in modules})
+
+
+def test_readme_names_only_what_src_defines():
+    # A name the README gives a percband module must be there: a constant
+    # or function src dropped leaves a stale name behind.
+    names = readme_module_names()
+    assert len(names) > 10
+    missing = []
+    for module, name in names:
+        owner = importlib.import_module("percband" if module == "percband" else f"percband.{module}")
+        if not (hasattr(owner, name) or module == "percband" and (PACKAGE / f"{name}.py").exists()):
+            missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def run_with_benchmark_path(args: list[str]) -> str:

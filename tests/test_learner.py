@@ -9,7 +9,6 @@ from percband import geometry
 from percband.geometry import DimensionMismatch, sample_uniform_sphere
 from percband.learner import (
     MIN_BAND_MASS,
-    MIN_EPSILON,
     THEORY_SCALE_B,
     THEORY_SCALE_M,
     Schedule,
@@ -144,11 +143,16 @@ class TestSchedule:
             Schedule(epsilon=epsilon, m=(5,), b=(0.1,))
 
     def test_epsilon_floor(self):
-        assert make_schedule(10, MIN_EPSILON, 0.1, NoiseModel.realizable()).epochs == 24
-        with pytest.raises(ValueError, match="epsilon"):
-            make_schedule(10, 1e-10, 0.1, NoiseModel.realizable())
-        with pytest.raises(ValueError, match="epsilon"):
-            Schedule(epsilon=1e-10, m=(5,), b=(0.1,))
+        # The band-mass floor is the only limit on epsilon: at d = 10 the
+        # default constants clear it at 1e-9 and not at 1e-10.
+        assert make_schedule(10, 1e-7, 0.1, NoiseModel.realizable()).epochs == 24
+        check_band_floor(10, make_schedule(10, 1e-9, 0.1, NoiseModel.realizable()))
+        with pytest.raises(ValueError, match="below the floor"):
+            check_band_floor(10, make_schedule(10, 1e-10, 0.1, NoiseModel.realizable()))
+        # An epsilon too small for the angles pi / 2^k to stay normal floats
+        # is refused by the schedule it would build, not by an overflow.
+        with pytest.raises(ValueError, match="b_k"):
+            make_schedule(10, 5e-324, 0.1, NoiseModel.realizable())
 
     def test_records_epsilon(self):
         assert make_schedule(10, 0.05, 0.1, NoiseModel.realizable()).epsilon == 0.05
@@ -157,7 +161,7 @@ class TestSchedule:
                              ids=lambda m: m.kind)
     def test_default_constants_clear_the_band_mass_floor(self, model):
         for d in (3, 10, 100, 1000, 10000):
-            for epsilon in (1e-3, MIN_EPSILON):
+            for epsilon in (1e-3, 1e-7):
                 sched = make_schedule(d, epsilon, 0.1, model)
                 assert min(geometry.band_mass(d, b / 2.0, b) for b in sched.b) >= MIN_BAND_MASS
 
@@ -165,10 +169,10 @@ class TestSchedule:
         # The proof's band constant at d = 100 reaches masses near 2e-16,
         # where a chunk of geometric draw counts would overflow int64.
         # Building the schedule computes no band mass; the check does.
-        sched = make_schedule(100, MIN_EPSILON, 0.1, NoiseModel.realizable(), scale_b=THEORY_SCALE_B)
+        sched = make_schedule(100, 1e-7, 0.1, NoiseModel.realizable(), scale_b=THEORY_SCALE_B)
         with pytest.raises(ValueError, match="below the floor"):
             check_band_floor(100, sched)
-        check_band_floor(100, make_schedule(100, MIN_EPSILON, 0.1, NoiseModel.realizable()))
+        check_band_floor(100, make_schedule(100, 1e-7, 0.1, NoiseModel.realizable()))
 
     def test_degenerate_iteration_counts_are_refused(self):
         with pytest.raises(ValueError, match="scale_m = 1e-300"):
@@ -213,6 +217,18 @@ class TestModPerceptron:
         with pytest.raises(ValueError, match="below the floor"):
             one_epoch(oracle, w0, 1, 1e-300, rng)
         assert oracle.queries == 0
+
+    def test_thin_late_band_is_refused_before_any_draw(self, rng):
+        # Every band is checked before the first epoch runs: the refusal
+        # charges no label and moves neither generator.
+        oracle = LabelingOracle(sample_uniform_sphere(5, rng), NoiseModel.bounded(0.2),
+                                np.random.default_rng(1))
+        w0, sampler = sample_uniform_sphere(5, rng), np.random.default_rng(2)
+        states = (oracle.rng.bit_generator.state, sampler.bit_generator.state)
+        with pytest.raises(ValueError, match="below the floor"):
+            active_perceptron(oracle, w0, Schedule(0.5, (50, 50), (0.1, 1e-300)), sampler)
+        assert oracle.queries == 0
+        assert (oracle.rng.bit_generator.state, sampler.bit_generator.state) == states
 
     def test_median_halving_realizable(self):
         angles = [run_stage(NoiseModel.realizable(), s) for s in range(50)]
@@ -295,11 +311,13 @@ class TestActivePerceptron:
         if passive:
             assert report.total_unlabeled == report.total_labels
         assert abs(np.linalg.norm(report.final) - 1.0) <= 1e-12
-        assert report.traces[0].theta_before == geometry.angle(v0, u)
+        # Every angle is read off the chain, which holds the vectors' angles
+        # up to rounding.
+        assert math.isclose(report.traces[0].theta_before, geometry.angle(v0, u), rel_tol=1e-12)
         for before, after in zip(report.traces, report.traces[1:]):
             assert after.theta_before == before.theta_after
-        final_angle = geometry.angle(report.final, u)
-        assert report.traces[-1].theta_after == final_angle
+        final_angle = report.traces[-1].theta_after
+        assert math.isclose(final_angle, geometry.angle(report.final, u), rel_tol=1e-12)
         assert report.succeeded == (final_angle <= math.pi * epsilon)
 
     def test_succeeded_flag(self):
