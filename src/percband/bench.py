@@ -247,11 +247,7 @@ def config_for_value(config: ExperimentConfig, axis: str, value) -> ExperimentCo
     if axis == "epsilon":
         return replace(config, epsilon=float(value))
     if axis == "eta":
-        if config.noise.kind == "bounded_margin":
-            noise = NoiseModel.bounded_margin(float(value), config.noise.margin)
-        else:
-            noise = NoiseModel.bounded(float(value))
-        return replace(config, noise=noise)
+        return replace(config, noise=NoiseModel.bounded(float(value)))
     if axis == "nu":
         return replace(config, noise=NoiseModel.adversarial(float(value)))
     raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")

@@ -62,7 +62,7 @@ _TRIALS = ("run", "sweep", "init-run")
 SETTINGS = {
     "mode": (str, ("run", "sweep"), "trial mode: " + " | ".join(MODES)),
     "d": (int, _TRIALS, "ambient dimension (>= 3)"),
-    "noise": (str, _TRIALS, "realizable | bounded:ETA | bounded_margin:ETA:M | adversarial:NU"),
+    "noise": (str, _TRIALS, "realizable | bounded:ETA | adversarial:NU"),
     "epsilon": (float, _TRIALS, "target error"),
     "delta": (float, _TRIALS, "failure probability"),
     "trials": (int, _TRIALS, "seeded trials per setting"),
@@ -85,15 +85,13 @@ _SUITE_ARGS = {"seed": "seed", "samples": "n_samples"}
 
 
 def parse_noise(spec: str) -> NoiseModel:
-    """Parse a noise spec: realizable | bounded:ETA | bounded_margin:ETA:M | adversarial:NU."""
+    """Parse a noise spec: realizable | bounded:ETA | adversarial:NU."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "realizable" and len(parts) == 1:
         return NoiseModel.realizable()
     if kind == "bounded" and len(parts) == 2:
         return NoiseModel.bounded(float(parts[1]))
-    if kind == "bounded_margin" and len(parts) == 3:
-        return NoiseModel.bounded_margin(float(parts[1]), float(parts[2]))
     if kind == "adversarial" and len(parts) == 2:
         return NoiseModel.adversarial(float(parts[1]))
     raise ValueError(f"bad noise spec {spec!r}")

@@ -109,7 +109,7 @@ def mod_perceptron_params(
         1 / (10 sqrt(d)) to stay inside the band-mass lower bound's validity.
 
     With scale_m = THEORY_SCALE_M and scale_b = THEORY_SCALE_B these are the
-    exact theory formulas. Inputs that make m 0 or overflow are refused.
+    exact theory formulas. Inputs that make m 0 or overflow, or b 0, are refused.
     """
     if d < geometry.MIN_DIMENSION:
         raise geometry.DimensionMismatch(f"dimension must be >= {geometry.MIN_DIMENSION}, got {d}")
@@ -126,9 +126,14 @@ def mod_perceptron_params(
         m = math.ceil(base * (math.log(base) + math.log(1.0 / delta)))
         if m < 1:
             raise ValueError(f"scale_m = {scale_m:g} leaves m = 0 iterations at d = {d}")
-        b = scale_b * theta * zeta / (math.sqrt(d) * math.log(m * m / delta))
+        ratio = m * m / delta
+        if not math.isfinite(ratio):
+            raise ValueError(f"delta = {delta:g} is too small: m^2 / delta overflows at m = {m}")
+        b = scale_b * theta * zeta / (math.sqrt(d) * math.log(ratio))
     except OverflowError:
         raise ValueError("the iteration count m overflows: d, scale_m or 1 / delta is too large") from None
+    if b == 0.0:
+        raise ValueError(f"the band width b_k rounds to 0 at theta = {theta:.3g}: epsilon is too small")
     b = min(b, 1.0 / (10.0 * math.sqrt(d)))
     return m, b
 

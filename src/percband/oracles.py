@@ -4,10 +4,8 @@ Every label is a (possibly corrupted) version of sign(u . x) for the hidden
 unit vector u, with sign(0) := +1. Three corruption regimes are supported:
 
 * ``realizable`` - labels are exact;
-* ``bounded`` / ``bounded_margin`` - each label flips independently with
-  probability at most eta < 1/2 (constant rate, or rate eta only inside the
-  margin strip |u . x| <= margin, which concentrates the noise where a
-  margin-querying learner looks);
+* ``bounded`` - Massart noise: each label flips independently with
+  probability eta < 1/2;
 * ``adversarial`` - a fixed, deterministic corruption: labels are inverted
   exactly on the slab |u . x| <= tau, with tau chosen so the corrupted mass
   equals nu. Total disagreement with sign(u . x) is then exactly nu.
@@ -34,13 +32,11 @@ class NoiseModel:
     kind: str
     eta: float = 0.0
     nu: float = 0.0
-    margin: float = 1.0
 
     # The fields each kind reads; the others must keep their defaults.
     _KINDS = {
         "realizable": (),
         "bounded": ("eta",),
-        "bounded_margin": ("eta", "margin"),
         "adversarial": ("nu",),
     }
 
@@ -55,8 +51,6 @@ class NoiseModel:
             raise ValueError(f"eta must lie in [0, 1/2), got {self.eta}")
         if not (0.0 <= self.nu <= 1.0):
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
-        if not (0.0 < self.margin <= 1.0):
-            raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
 
     @classmethod
     def realizable(cls) -> "NoiseModel":
@@ -67,24 +61,20 @@ class NoiseModel:
         return cls(kind="bounded", eta=eta)
 
     @classmethod
-    def bounded_margin(cls, eta: float, margin: float) -> "NoiseModel":
-        return cls(kind="bounded_margin", eta=eta, margin=margin)
-
-    @classmethod
     def adversarial(cls, nu: float) -> "NoiseModel":
         return cls(kind="adversarial", nu=nu)
 
     @property
     def zeta(self) -> float:
-        """Noise factor 1 - 2 eta for bounded models, 1 otherwise."""
-        if self.kind in ("bounded", "bounded_margin"):
+        """Noise factor 1 - 2 eta for bounded noise, 1 otherwise."""
+        if self.kind == "bounded":
             return 1.0 - 2.0 * self.eta
         return 1.0
 
     @property
     def param(self) -> float:
         """The scalar noise level (eta, nu, or 0) for reporting."""
-        if self.kind in ("bounded", "bounded_margin"):
+        if self.kind == "bounded":
             return self.eta
         if self.kind == "adversarial":
             return self.nu
@@ -120,21 +110,19 @@ def _adversarial_threshold(d: int, nu: float) -> float:
 def flip_coins(model: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
     """Per-label corruption coins for the next n labels.
 
-    Under the bounded kinds each label gets a Bernoulli(eta) coin, one
+    Under bounded noise each label gets a Bernoulli(eta) coin, one
     uniform from ``rng`` per label (the only draws the label law makes);
     otherwise the coin is constant and nothing is drawn. A coin flips its
     label iff |u . x| is at most :func:`flip_radius`.
     """
-    if model.kind in ("bounded", "bounded_margin"):
+    if model.kind == "bounded":
         return rng.random(n) < model.eta
     return np.full(n, model.kind == "adversarial" and model.nu > 0.0)
 
 
 def flip_radius(model: NoiseModel, d: int) -> float:
     """The largest |u . x| in R^d at which a coin from :func:`flip_coins`
-    flips a label: the margin, the adversarial slab's half-width, or inf."""
-    if model.kind == "bounded_margin":
-        return model.margin
+    flips a label: the adversarial slab's half-width, or inf."""
     if model.kind == "adversarial":
         return adversarial_threshold(d, model.nu)
     return math.inf

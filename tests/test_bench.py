@@ -176,8 +176,6 @@ class TestSweep:
         cfg = small_config()
         assert config_for_value(cfg, "d", 8).d == 8
         assert config_for_value(cfg, "eta", 0.2).noise == NoiseModel.bounded(0.2)
-        margin_cfg = small_config(noise=NoiseModel.bounded_margin(0.1, 0.5))
-        assert config_for_value(margin_cfg, "eta", 0.3).noise == NoiseModel.bounded_margin(0.3, 0.5)
         assert config_for_value(cfg, "nu", 0.01).noise == NoiseModel.adversarial(0.01)
         assert config_for_value(cfg, "epsilon", 0.1).epsilon == 0.1
         with pytest.raises(ValueError):
@@ -220,10 +218,11 @@ class TestCli:
     def test_parse_noise(self):
         assert parse_noise("realizable") == NoiseModel.realizable()
         assert parse_noise("bounded:0.2") == NoiseModel.bounded(0.2)
-        assert parse_noise("bounded_margin:0.2:0.5") == NoiseModel.bounded_margin(0.2, 0.5)
         assert parse_noise("adversarial:0.01") == NoiseModel.adversarial(0.01)
         with pytest.raises(Exception):
             parse_noise("bogus:1")
+        with pytest.raises(ValueError):
+            parse_noise("bounded_margin:0.2:0.5")
 
     def test_parse_sweep(self):
         axis, values = parse_sweep("epsilon=0.2,0.1")
@@ -293,6 +292,9 @@ class TestCli:
         ([], {"eta": 0.3}),
         # The schedule refuses d < 3 for the config.
         (["--d", "2"], None),
+        # The noise model has the paper's three kinds only.
+        (["--noise", "bounded_margin:0.2:0.5"], None),
+        ([], {"noise": "bounded_margin:0.2:0.5"}),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -306,6 +308,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("flag, value, name", [
+        # m^2 / delta overflows to inf, which used to leave b = 0.
+        ("--delta", "1e-300", "delta"),
+        # theta = pi / 2^k is subnormal, and b underflows to 0.
+        ("--epsilon", "5e-324", "epsilon"),
+    ])
+    def test_tiny_delta_or_epsilon_is_refused_by_name(self, tmp_path, capsys, flag, value, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--d", "10", "--trials", "1", "--out", str(tmp_path / "run.csv"), flag, value])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and name in errors[0]
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scale-m", repr(learner.THEORY_SCALE_M), "--scale-b", repr(learner.THEORY_SCALE_B)],

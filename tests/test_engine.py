@@ -32,7 +32,6 @@ D = 10
 MODELS = (
     NoiseModel.realizable(),
     NoiseModel.bounded(0.2),
-    NoiseModel.bounded_margin(0.2, 0.1),
     NoiseModel.adversarial(0.05),
 )
 # A wide and a thin band, named for the sampler that suits each: at d=10 the
@@ -387,13 +386,15 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
 # Re-pinned when the chain began to carry sin(theta) and every angle of a run
 # was read off the chain state: only the last digits of final_angle moved
 # (by under 1e-11 relative); labels, draws and successes did not change.
-GOLDEN_SWEEP_SHA256 = "c22141aa9438b907cc0aa2c3e1323f22ff074d45e3c96277bc3ada11b758589c"
+# Re-pinned when the bounded_margin noise kind was removed: its three files
+# left the hash; the nine files still hashed are byte-identical.
+GOLDEN_SWEEP_SHA256 = "77188af895c428e2750f68665f167aad5b2bff7ce5d02d3f4ddbad211aa01b1c"
 
 
 def test_golden_sweep_digest(tmp_path):
     digest = hashlib.sha256()
     for mode in ("active", "passive", "init"):
-        for model in MODELS[:3] + (NoiseModel.adversarial(0.005),):
+        for model in MODELS[:2] + (NoiseModel.adversarial(0.005),):
             out = tmp_path / f"{mode}-{model.kind}.csv"
             config = ExperimentConfig(mode=mode, d=D, noise=model, epsilon=0.2, trials=2,
                                       master_seed=7, output_path=str(out))

@@ -288,7 +288,6 @@ class TestActivePerceptron:
         model=st.sampled_from((
             NoiseModel.realizable(),
             NoiseModel.bounded(0.2),
-            NoiseModel.bounded_margin(0.2, 0.1),
             NoiseModel.adversarial(0.05),
         )),
         passive=st.booleans(),

@@ -26,16 +26,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel.adversarial(1.5)
         with pytest.raises(ValueError):
-            NoiseModel.bounded_margin(0.1, 0.0)
-        with pytest.raises(ValueError):
             NoiseModel(kind="weird")
 
     @pytest.mark.parametrize("fields", [
         {"kind": "realizable", "eta": 0.3},
-        {"kind": "realizable", "margin": 0.5},
-        {"kind": "bounded", "eta": 0.2, "margin": 0.5},
         {"kind": "bounded", "eta": 0.2, "nu": 0.1},
-        {"kind": "bounded_margin", "eta": 0.2, "margin": 0.5, "nu": 0.1},
         {"kind": "adversarial", "nu": 0.01, "eta": 0.4},
     ], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
     def test_field_its_kind_does_not_read_is_refused(self, fields):
@@ -45,7 +40,6 @@ class TestNoiseModel:
     def test_zeta(self):
         assert NoiseModel.realizable().zeta == 1.0
         assert NoiseModel.bounded(0.2).zeta == pytest.approx(0.6)
-        assert NoiseModel.bounded_margin(0.3, 0.5).zeta == pytest.approx(0.4)
         assert NoiseModel.adversarial(0.05).zeta == 1.0
 
 
@@ -87,16 +81,6 @@ class TestBounded:
             clean = 1 if float(x @ oracle.target) >= 0 else -1
             rate = np.mean(labels != clean)
             assert rate <= eta + 3.0 * math.sqrt(eta * (1 - eta) / n)
-
-    def test_margin_profile(self):
-        eta, margin = 0.4, 0.3
-        oracle = make_oracle(NoiseModel.bounded_margin(eta, margin), target=E1, seed=2)
-        n = 10_000
-        far = geometry.normalize([0.9, 0.436, 0.0])  # |u.x| = 0.9 > margin
-        assert np.all(oracle.query_batch(np.tile(far, (n, 1))) == 1)
-        near = geometry.normalize([0.1, 0.995, 0.0])  # |u.x| ~ 0.1 <= margin
-        rate = np.mean(oracle.query_batch(np.tile(near, (n, 1))) == -1)
-        assert abs(rate - eta) <= 3.0 * math.sqrt(eta * (1 - eta) / n)
 
 
 class TestAdversarial:
