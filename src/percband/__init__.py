@@ -11,7 +11,6 @@ from .geometry import (
     angle,
     band_mass,
     disagreement_mass,
-    normalize,
     sample_uniform_sphere,
 )
 from .initialization import InitResult, acute_initialize
@@ -51,7 +50,6 @@ __all__ = [
     "disagreement_mass",
     "make_schedule",
     "mod_perceptron_params",
-    "normalize",
     "run_suite",
     "sample_uniform_sphere",
 ]

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class ExperimentConfig:
     scale_b: float = DEFAULT_SCALE_B
     trials: int = 20
     master_seed: int = 0
-    output_path: str | None = None
-    jobs: int = 1
     measure_time: bool = False
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class ExperimentConfig:
             self.branch_schedule
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     # Built once per configuration and kept on the instance (a frozen
     # dataclass has a __dict__, and it pickles to pool workers with it).
@@ -198,45 +194,39 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
     )
 
 
-def _execute(config: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[TrialRow]:
-    """Run (value_index, trial_index) tasks; rows come back in task order.
-    The pool has at most one worker per task and per CPU."""
-    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+def run_trials(configs: list[ExperimentConfig], jobs: int = 1) -> list[TrialRow]:
+    """Run every trial of every configuration; rows come back in
+    (configuration, trial) order, and a configuration's position in
+    ``configs`` is its value index in ``trial_seed``. All the trials share
+    one pool of min(jobs, trials, CPUs) workers; with one, they run in this
+    process."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(c, vi, t) for vi, c in enumerate(configs) for t in range(c.trials)]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here so that single-process runs do not import multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(run_trial, config), *zip(*tasks)))
-    return [run_trial(config, v, t) for v, t in tasks]
+            return list(pool.map(run_trial, *zip(*tasks)))
+    return [run_trial(*task) for task in tasks]
 
 
-def run_single(config: ExperimentConfig):
-    """Run the configured trials at a single setting.
-
-    Returns the list of TrialRow and writes the CSV when an output path is
-    configured.
-    """
-    rows = _execute(config, [(0, t) for t in range(config.trials)])
-    if config.output_path:
-        write_csv(config.output_path, rows)
-    return rows
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    axis: str
-    value: float
-    median_labels: float
-    median_unlabeled: float
-    success_rate: float
-
-    def line(self) -> str:
-        return (
-            f"{self.axis}={self.value:g}: median_labels={self.median_labels:g} "
-            f"median_unlabeled={self.median_unlabeled:g} "
-            f"success_rate={self.success_rate:.2f}"
+def summarize(rows: list[TrialRow]) -> list[tuple[float, float, float]]:
+    """Median labels, median unlabeled draws and success rate of the rows
+    of each value index, in the order the rows give them."""
+    groups: dict[int, list[TrialRow]] = {}
+    for r in rows:
+        groups.setdefault(r.value_index, []).append(r)
+    return [
+        (
+            float(np.median([r.labels for r in g])),
+            float(np.median([r.unlabeled_draws for r in g])),
+            float(np.mean([r.succeeded for r in g])),
         )
+        for g in groups.values()
+    ]
 
 
 def config_for_value(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -251,32 +241,6 @@ def config_for_value(config: ExperimentConfig, axis: str, value) -> ExperimentCo
     if axis == "nu":
         return replace(config, noise=NoiseModel.adversarial(float(value)))
     raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-
-
-def run_sweep(
-    config: ExperimentConfig, sweep_axis: str, values: list
-) -> tuple[list[TrialRow], list[SweepSummary]]:
-    """Run trials for each axis value; rows come back in (value, trial) order."""
-    if not values:
-        raise ValueError("sweep values must be nonempty")
-    rows: list[TrialRow] = []
-    summaries = []
-    for vi, value in enumerate(values):
-        sub = config_for_value(config, sweep_axis, value)
-        group = _execute(sub, [(vi, t) for t in range(config.trials)])
-        rows.extend(group)
-        summaries.append(
-            SweepSummary(
-                axis=sweep_axis,
-                value=float(value),
-                median_labels=float(np.median([r.labels for r in group])),
-                median_unlabeled=float(np.median([r.unlabeled_draws for r in group])),
-                success_rate=float(np.mean([r.succeeded for r in group])),
-            )
-        )
-    if config.output_path:
-        write_csv(config.output_path, rows)
-    return rows, summaries
 
 
 def write_csv(path: str, rows: list[TrialRow]) -> None:

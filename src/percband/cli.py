@@ -29,17 +29,16 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from .bench import (
     MODES,
     SWEEP_AXES,
     ExperimentConfig,
     check_bands,
     config_for_value,
-    run_single,
-    run_sweep,
+    run_trials,
     steps_per_trial,
+    summarize,
+    write_csv,
     write_verify_csv,
 )
 from .oracles import NoiseModel
@@ -80,7 +79,7 @@ SETTINGS = {
 }
 # The ExperimentConfig fields named apart from their settings, and the
 # run_suite argument of each setting verify reads.
-_CONFIG_NAMES = {"seed": "master_seed", "out": "output_path", "timing": "measure_time"}
+_CONFIG_NAMES = {"seed": "master_seed", "timing": "measure_time"}
 _SUITE_ARGS = {"seed": "seed", "samples": "n_samples"}
 
 
@@ -212,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
             # Inside the try: the suite refuses n_samples < 1 before it draws.
             results = run_suite(**{_SUITE_ARGS[k]: v for k, v in settings.items() if k in _SUITE_ARGS})
         else:
+            jobs = settings.get("jobs", 1)
+            if jobs < 1:
+                raise ValueError(f"--jobs must be >= 1, got {jobs}")
             config = build_config(args.command, settings)
             configs = [config]
             if args.command == "sweep":
@@ -233,17 +235,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
         return 0 if all_passed(results) else 1
 
+    rows = run_trials(configs, jobs)
+    if "out" in settings:
+        write_csv(settings["out"], rows)
     if args.command == "sweep":
-        _, summaries = run_sweep(config, axis, values)
-        for s in summaries:
-            print(s.line())
+        for value, (labels, draws, rate) in zip(values, summarize(rows)):
+            print(f"{axis}={value:g}: median_labels={labels:g} median_unlabeled={draws:g} "
+                  f"success_rate={rate:.2f}")
         return 0
-
-    rows = run_single(config)
+    labels, draws, _ = summarize(rows)[0]
     print(
         f"{len(rows)} trials: {sum(r.succeeded for r in rows)} succeeded "
-        f"(median labels {np.median([r.labels for r in rows]):g}, "
-        f"median unlabeled draws {np.median([r.unlabeled_draws for r in rows]):g})"
+        f"(median labels {labels:g}, median unlabeled draws {draws:g})"
     )
     return 0
 

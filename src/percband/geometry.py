@@ -68,15 +68,6 @@ def check_same_dimension(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def normalize(v) -> np.ndarray:
-    """Scale the 1-D vector ``v`` to unit norm (rejects the zero vector)."""
-    arr = np.asarray(v, dtype=np.float64)
-    norm = math.sqrt(arr.dot(arr))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return arr / norm
-
-
 @dataclass(frozen=True)
 class Band:
     """Spherical slab {x : lower <= normal . x <= upper} with 0 < lower < upper <= 1."""

@@ -24,6 +24,12 @@ def planted_pair(d: int, theta: float, seed: int = 0):
     return u, w / np.linalg.norm(w)
 
 
+def unit(a):
+    """``a`` as a float64 array scaled to unit norm."""
+    a = np.asarray(a, dtype=np.float64)
+    return a / math.sqrt(a.dot(a))
+
+
 def one_epoch(oracle, w0, m, b, rng, charge_rejected=False):
     """A run of one epoch of m steps on the band [b/2, b]; returns
     (final vector, labels, draws)."""

@@ -13,12 +13,14 @@ import pytest
 from scipy import optimize, stats
 
 from percband import geometry
-from percband.bench import ExperimentConfig, run_single, run_sweep
+from percband.bench import ExperimentConfig, config_for_value, run_trials, summarize, write_csv
 from percband.geometry import Band, rejection_sample_band, sample_uniform_sphere
 from percband.initialization import acute_initialize
 from percband.learner import modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel
 from percband.verify import all_passed, run_suite
+
+from conftest import unit
 
 pytestmark = pytest.mark.acceptance
 
@@ -33,7 +35,15 @@ def run_mode(mode, noise, d=10, eps=0.05, trials=20, seed=1, **kw):
         mode=mode, d=d, noise=noise, epsilon=eps, delta=0.1,
         trials=trials, master_seed=seed, **kw,
     )
-    return run_single(cfg)
+    return run_trials([cfg])
+
+
+def sweep(cfg, axis, values):
+    """The rows of cfg's trials at each value of the axis."""
+    return run_trials([config_for_value(cfg, axis, v) for v in values])
+
+
+EPSILONS = [0.2, 0.1, 0.05, 0.025]
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +52,7 @@ def epsilon_sweep():
         mode="active", d=10, noise=NoiseModel.realizable(), epsilon=0.05,
         delta=0.1, trials=10, master_seed=7,
     )
-    return run_sweep(cfg, "epsilon", [0.2, 0.1, 0.05, 0.025])
+    return summarize(sweep(cfg, "epsilon", EPSILONS))
 
 
 def test_criterion_01_norm_and_progress_identity():
@@ -107,9 +117,8 @@ def test_criterion_04_end_to_end_adversarial():
 
 
 def test_criterion_05_label_scaling_in_epsilon(epsilon_sweep):
-    _, summaries = epsilon_sweep
-    x = np.log(1.0 / np.array([s.value for s in summaries]))
-    y = np.array([s.median_labels for s in summaries])
+    x = np.log(1.0 / np.array(EPSILONS))
+    y = np.array([labels for labels, _, _ in epsilon_sweep])
     r2 = stats.linregress(x, y).rvalue ** 2
     gate(5, r2 >= 0.9, f"median labels vs ln(1/eps): R^2 = {r2:.4f} (>= 0.9); labels {y.tolist()}")
 
@@ -119,10 +128,11 @@ def test_criterion_06_label_scaling_in_dimension():
         mode="active", d=10, noise=NoiseModel.realizable(), epsilon=0.1,
         delta=0.1, trials=10, master_seed=7,
     )
-    _, summaries = run_sweep(cfg, "d", [5, 10, 20, 40])
+    dims = [5, 10, 20, 40]
+    summaries = summarize(sweep(cfg, "d", dims))
     slope = stats.linregress(
-        np.log([s.value for s in summaries]),
-        np.log([s.median_labels for s in summaries]),
+        np.log(dims),
+        np.log([labels for labels, _, _ in summaries]),
     ).slope
     gate(6, 0.7 <= slope <= 1.3, f"log-log slope of median labels vs d = {slope:.3f} (1.0 +- 0.3)")
 
@@ -132,18 +142,17 @@ def test_criterion_07_label_scaling_in_noise():
         mode="active", d=10, noise=NoiseModel.realizable(), epsilon=0.05,
         delta=0.1, trials=10, master_seed=7,
     )
-    _, summaries = run_sweep(cfg, "eta", [0.1, 0.3])
-    ratio = summaries[1].median_labels / summaries[0].median_labels
+    summaries = summarize(sweep(cfg, "eta", [0.1, 0.3]))
+    ratio = summaries[1][0] / summaries[0][0]
     expected = ((1 - 0.2) / (1 - 0.6)) ** 2  # = 4
     ok = expected / 3.0 <= ratio <= expected * 3.0
     gate(7, ok, f"labels(eta=0.3)/labels(eta=0.1) = {ratio:.2f}, window [{expected/3:.2f}, {expected*3:.0f}]")
 
 
 def test_criterion_08_unlabeled_scaling_in_epsilon(epsilon_sweep):
-    _, summaries = epsilon_sweep
     slope = stats.linregress(
-        np.log(1.0 / np.array([s.value for s in summaries])),
-        np.log([s.median_unlabeled for s in summaries]),
+        np.log(1.0 / np.array(EPSILONS)),
+        np.log([draws for _, draws, _ in epsilon_sweep]),
     ).slope
     gate(8, 0.7 <= slope <= 1.3, f"log-log slope of median unlabeled draws vs 1/eps = {slope:.3f} (1.0 +- 0.3)")
 
@@ -188,7 +197,7 @@ def test_criterion_11_acute_initialization():
                 # Adversarial planting: target near the negated start direction.
                 e1 = np.zeros(d)
                 e1[0] = 1.0
-                u = geometry.normalize(-e1 + 0.05 * r_plant.standard_normal(d))
+                u = unit(-e1 + 0.05 * r_plant.standard_normal(d))
             else:
                 u = sample_uniform_sphere(d, r_plant)
             oracle = LabelingOracle(u, model, r_oracle)
@@ -228,8 +237,8 @@ def test_criterion_13_determinism(tmp_path):
     for path in paths:
         cfg = ExperimentConfig(
             mode="active", d=5, noise=NoiseModel.bounded(0.2), epsilon=0.1,
-            delta=0.1, trials=4, master_seed=99, output_path=str(path),
+            delta=0.1, trials=4, master_seed=99,
         )
-        run_sweep(cfg, "epsilon", [0.2, 0.1])
+        write_csv(str(path), sweep(cfg, "epsilon", [0.2, 0.1]))
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     gate(13, identical, "re-run with same master seed produced byte-identical CSV output")

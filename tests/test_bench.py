@@ -13,11 +13,12 @@ from percband.bench import (
     CSV_HEADER,
     ExperimentConfig,
     config_for_value,
-    run_single,
-    run_sweep,
     run_trial,
+    run_trials,
     steps_per_trial,
+    summarize,
     trial_seed,
+    write_csv,
 )
 from percband.cli import (
     COMMANDS,
@@ -66,8 +67,8 @@ class TestTrialSeeding:
 class TestRunSingle:
     def test_one_epoch_one_row(self, tmp_path):
         out = tmp_path / "run.csv"
-        cfg = small_config(trials=1, epsilon=0.5, output_path=str(out))
-        rows = run_single(cfg)
+        rows = run_trials([small_config(trials=1, epsilon=0.5)])
+        write_csv(str(out), rows)
         assert len(rows) == 1
         assert len(rows[0].report.traces) == 1
         lines = out.read_text().splitlines()
@@ -81,7 +82,7 @@ class TestRunSingle:
         assert peak < 8 * geometry.CHUNK_BYTES
 
     def test_labels_column_matches_report(self):
-        rows = run_single(small_config())
+        rows = run_trials([small_config()])
         for row in rows:
             assert row.labels == row.report.total_labels
             assert row.unlabeled_draws == row.report.total_unlabeled
@@ -100,12 +101,12 @@ class TestRunSingle:
 
     def test_rows_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_single(small_config(output_path=str(out1)))
-        run_single(small_config(output_path=str(out2)))
+        write_csv(str(out1), run_trials([small_config()]))
+        write_csv(str(out2), run_trials([small_config()]))
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_verify_mode_dispatch(self, tmp_path):
-        # verify is no run_single mode: the CLI hands it to run_suite and write_verify_csv.
+        # verify is no trial mode: the CLI hands it to run_suite and write_verify_csv.
         with pytest.raises(ValueError, match="mode must be one of"):
             ExperimentConfig(mode="verify")
         out = tmp_path / "verify.csv"
@@ -142,35 +143,38 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="scale factors must be positive and finite"):
             ExperimentConfig(mode=mode, **scales)
 
-    @pytest.mark.parametrize("command,built", [("run", 1), ("init-run", 2)])
+    @pytest.mark.parametrize("command,built", [("run", 1), ("init-run", 2), ("sweep", 4)])
     def test_each_schedule_is_built_once_per_call(self, monkeypatch, tmp_path, command, built):
         # The config keeps its schedules: the cost preflight, the band-floor
-        # check and every trial (init's branch runs included) read them.
+        # check and every trial (init's branch runs included) read them. A
+        # sweep builds its base config and one config per value, once each.
+        values = ["--sweep", "epsilon=0.5,0.25,0.125"] if command == "sweep" else []
         calls = []
         make = learner.make_schedule
         for module in (bench, initialization):
             monkeypatch.setattr(module, "make_schedule", lambda *a, **k: calls.append(1) or make(*a, **k))
         out = tmp_path / "run.csv"
-        assert main([command, "--d", "5", "--epsilon", "0.25", "--trials", "3", "--out", str(out)]) == 0
+        assert main([command, "--d", "5", "--epsilon", "0.25", "--trials", "3", "--out", str(out)]
+                    + values) == 0
         assert len(calls) == built
-        assert len(out.read_text().splitlines()) == 4
+        assert len(out.read_text().splitlines()) == 1 + 3 * (3 if values else 1)
 
     def test_init_mode_accounts_for_preamble(self):
-        rows = run_single(small_config(mode="init", trials=2, epsilon=0.25))
+        rows = run_trials([small_config(mode="init", trials=2, epsilon=0.25)])
         for row in rows:
             assert row.labels > row.report.total_labels  # init labels included
 
 
 class TestSweep:
-    def test_rows_ordered_and_summarized(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        cfg = small_config(output_path=str(out), trials=2)
-        rows, summaries = run_sweep(cfg, "epsilon", [0.5, 0.25])
+    def test_rows_ordered_and_summarized(self):
+        cfg = small_config(trials=2)
+        rows = run_trials([config_for_value(cfg, "epsilon", v) for v in (0.5, 0.25)])
         assert [(r.value_index, r.trial) for r in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert [s.value for s in summaries] == [0.5, 0.25]
-        assert all(0.0 <= s.success_rate <= 1.0 for s in summaries)
-        text = out.read_text().splitlines()
-        assert len(text) == 5
+        assert [r.config.epsilon for r in rows] == [0.5, 0.5, 0.25, 0.25]
+        summaries = summarize(rows)
+        assert len(summaries) == 2
+        assert all(0.0 <= rate <= 1.0 for _, _, rate in summaries)
+        assert summarize(rows[2:]) == summaries[1:]
 
     def test_axis_substitution(self):
         cfg = small_config()
@@ -198,19 +202,26 @@ class TestSweep:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("os.cpu_count", lambda: 4)
-        assert len(run_single(small_config(jobs=64, trials=2))) == 2
+        assert len(run_trials([small_config(trials=2)], jobs=64)) == 2
         # Nor larger than the CPU count: --jobs 64 on 4 CPUs starts 4.
-        assert len(run_single(small_config(jobs=64, trials=64))) == 64
-        assert workers == [2, 4]
+        assert len(run_trials([small_config(trials=64)], jobs=64)) == 64
+        # A sweep's trials share one pool: 3 values of 1 trial at --jobs 2 start 2.
+        assert main(["sweep", "--d", "5", "--trials", "1", "--jobs", "2",
+                     "--sweep", "epsilon=0.5,0.25,0.125"]) == 0
+        assert workers == [2, 4, 2]
+
+    def test_jobs_below_one_is_refused_before_any_trial(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: started.append(a))
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_trials([small_config()], jobs=0)
+        assert started == []
 
     def test_parallel_jobs_reproduce_serial_bytes(self, tmp_path):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        run_sweep(small_config(output_path=str(serial), trials=2), "epsilon", [0.5, 0.25])
-        run_sweep(
-            small_config(output_path=str(parallel), trials=2, jobs=2),
-            "epsilon",
-            [0.5, 0.25],
-        )
+        configs = [config_for_value(small_config(trials=2), "epsilon", v) for v in (0.5, 0.25)]
+        write_csv(str(serial), run_trials(configs))
+        write_csv(str(parallel), run_trials(configs, jobs=2))
         assert serial.read_bytes() == parallel.read_bytes()
 
 

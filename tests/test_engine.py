@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from percband import geometry, learner
-from percband.bench import ExperimentConfig, run_sweep
+from percband.bench import ExperimentConfig, run_trials, write_csv
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
 from percband.learner import Schedule, active_perceptron, modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel, flip_coins, flip_radius
@@ -397,8 +397,8 @@ def test_golden_sweep_digest(tmp_path):
         for model in MODELS[:2] + (NoiseModel.adversarial(0.005),):
             out = tmp_path / f"{mode}-{model.kind}.csv"
             config = ExperimentConfig(mode=mode, d=D, noise=model, epsilon=0.2, trials=2,
-                                      master_seed=7, output_path=str(out))
-            run_sweep(config, "epsilon", [0.2])
+                                      master_seed=7)
+            write_csv(str(out), run_trials([config]))
             digest.update(out.read_bytes())
     assert digest.hexdigest() == GOLDEN_SWEEP_SHA256
 

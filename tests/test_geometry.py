@@ -17,7 +17,7 @@ from percband.geometry import (
     sample_uniform_sphere,
 )
 
-from conftest import planted_pair, tape_points, traced_peak_bytes
+from conftest import planted_pair, tape_points, traced_peak_bytes, unit
 
 
 def band_mass_closed_form(d: int, lower: float, upper: float) -> float:
@@ -149,7 +149,7 @@ class TestAngle:
 
     def test_clamps_dot_product(self):
         # A dot product can exceed 1 by float noise; arccos must not blow up.
-        v = geometry.normalize([0.6, 0.8, 0.0])
+        v = unit([0.6, 0.8, 0.0])
         assert angle(v, v) == 0.0
 
     @given(st.integers(0, 10**6))

@@ -16,7 +16,7 @@ from percband.initialization import (
 )
 from percband.oracles import LabelingOracle, NoiseModel
 
-from conftest import planted_pair, traced_peak_bytes
+from conftest import planted_pair, traced_peak_bytes, unit
 
 
 # The draw-and-discard loop that _sample_disagreement_region reduces, kept
@@ -105,7 +105,7 @@ class TestAcuteInitialize:
         gen = np.random.default_rng(3)
         e1 = np.zeros(d)
         e1[0] = 1.0
-        target = geometry.normalize(-e1 + 0.05 * gen.standard_normal(d))
+        target = unit(-e1 + 0.05 * gen.standard_normal(d))
         result, _, _ = init_trial(NoiseModel.realizable(), d=d, seed=4, target=target)
         assert geometry.angle(result.vector, target) <= math.pi / 4
 

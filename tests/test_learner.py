@@ -20,7 +20,7 @@ from percband.learner import (
 )
 from percband.oracles import LabelingOracle, NoiseModel
 
-from conftest import one_epoch
+from conftest import one_epoch, unit
 
 
 class TestModifiedPerceptronStep:
@@ -200,7 +200,7 @@ def run_stage(model, seed, theta0=math.pi / 4, d=5, delta=0.1):
     q = gen.standard_normal(d)
     q -= (q @ u) * u
     q /= np.linalg.norm(q)
-    w0 = geometry.normalize(math.cos(theta0) * u + math.sin(theta0) * q)
+    w0 = unit(math.cos(theta0) * u + math.sin(theta0) * q)
     m, b = mod_perceptron_params(d, theta0, delta, model.zeta)
     oracle = LabelingOracle(u, model, np.random.default_rng(seed + 10_000))
     w, labels, draws = one_epoch(oracle, w0, m, b, np.random.default_rng(seed + 20_000))
