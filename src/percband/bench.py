@@ -15,6 +15,7 @@ timing is enabled (it defaults to off to keep output byte-reproducible).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -61,30 +62,35 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("d", "trials", "master_seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # Building the schedules a trial runs checks d, epsilon, delta and
         # the scale factors; the instance keeps them.
-        self.schedule
-        if self.mode == "init":
-            self.branch_schedule
+        self.schedules
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     # Built once per configuration and kept on the instance (a frozen
     # dataclass has a __dict__, and it pickles to pool workers with it).
     @cached_property
-    def schedule(self) -> Schedule:
-        """The epoch schedule of the trial's run."""
-        return make_schedule(
+    def schedules(self) -> tuple[Schedule, ...]:
+        """The schedule of each run a trial makes, in run order: in init
+        mode the two branch runs (sharing one schedule) and the main run,
+        otherwise the main run alone."""
+        main = make_schedule(
             self.d, self.epsilon, self.delta, self.noise,
             scale_m=self.scale_m, scale_b=self.scale_b,
         )
-
-    @cached_property
-    def branch_schedule(self) -> Schedule:
-        """The schedule of init mode's two branch runs."""
-        return branch_schedule(self.d, self.noise, self.delta, self.scale_m, self.scale_b)
+        if self.mode == "init":
+            branch = branch_schedule(self.d, self.noise, self.delta, self.scale_m, self.scale_b)
+            return (branch, branch, main)
+        return (main,)
 
 
 @dataclass(frozen=True)
@@ -141,21 +147,17 @@ def _acute_start(target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def steps_per_trial(config: ExperimentConfig) -> int:
-    """Perceptron steps of one trial (sum of m_k), from the schedules alone;
-    init mode adds its two branch runs."""
-    steps = sum(config.schedule.m)
-    if config.mode == "init":
-        steps += 2 * sum(config.branch_schedule.m)
-    return steps
+    """Perceptron steps of one trial (sum of m_k over its runs), from the
+    schedules alone."""
+    return sum(sum(s.m) for s in config.schedules)
 
 
 def check_bands(config: ExperimentConfig) -> None:
     """Refuse a configuration whose schedules hold a band of mass below
     learner.MIN_BAND_MASS. A band mass costs O(d), so the CLI calls this
     only after its step count has bounded d."""
-    check_band_floor(config.d, config.schedule)
-    if config.mode == "init":
-        check_band_floor(config.d, config.branch_schedule)
+    for schedule in dict.fromkeys(config.schedules):
+        check_band_floor(config.d, schedule)
 
 
 def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> TrialRow:
@@ -170,13 +172,14 @@ def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> T
 
     start = time.perf_counter()
     labels = draws = 0
-    if config.mode == "init":
-        init = acute_initialize(oracle, config.delta, rng_sampler, schedule=config.branch_schedule)
+    *branches, schedule = config.schedules
+    if branches:
+        init = acute_initialize(oracle, config.delta, rng_sampler, schedule=branches[0])
         labels, draws, v0 = init.total_labels, init.total_unlabeled, init.vector
     else:
         v0 = _acute_start(target, rng_plant)
     report = active_perceptron(
-        oracle, v0, config.schedule, rng_sampler, charge_rejected=config.mode == "passive"
+        oracle, v0, schedule, rng_sampler, charge_rejected=config.mode == "passive"
     )
     elapsed = time.perf_counter() - start
 
@@ -257,10 +260,6 @@ def write_verify_csv(path: str, results: list[verify.CheckResult]) -> None:
             status = "skip" if r.skipped else ("1" if r.passed else "0")
             detail = r.detail.replace(",", ";")
             fh.write(
-                f"{r.name},{status},{_nan_fmt(r.statistic)},{_nan_fmt(r.bound)},"
-                f"{_nan_fmt(r.margin)},{detail}\n"
+                f"{r.name},{status},{_fmt(r.statistic)},{_fmt(r.bound)},"
+                f"{_fmt(r.margin)},{detail}\n"
             )
-
-
-def _nan_fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else _fmt(x)

@@ -232,7 +232,9 @@ def main(argv: list[str] | None = None) -> int:
             write_verify_csv(settings["out"], results)
         for r in results:
             print(r.line())
-        print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
+        checks = [r for r in results if not r.skipped]
+        print(f"verify: {sum(r.passed for r in checks)}/{len(checks)} checks passed, "
+              f"{len(results) - len(checks)} skipped")
         return 0 if all_passed(results) else 1
 
     rows = run_trials(configs, jobs)

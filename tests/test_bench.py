@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import percband
@@ -143,6 +144,16 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="scale factors must be positive and finite"):
             ExperimentConfig(mode=mode, **scales)
 
+    @pytest.mark.parametrize("field,value", [("d", 10.5), ("d", 10.0), ("trials", 2.5), ("master_seed", 1.5)])
+    def test_config_refuses_a_non_integer_count(self, field, value):
+        # Refused when the config is built, not by numpy inside the trial.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(epsilon=0.3, **{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        config = small_config(d=np.int64(5), trials=np.int64(1), master_seed=np.int64(11))
+        assert run_trials([config])[0].csv_line() == run_trials([small_config(trials=1)])[0].csv_line()
+
     @pytest.mark.parametrize("command,built", [("run", 1), ("init-run", 2), ("sweep", 4)])
     def test_each_schedule_is_built_once_per_call(self, monkeypatch, tmp_path, command, built):
         # The config keeps its schedules: the cost preflight, the band-floor
@@ -160,9 +171,15 @@ class TestRunSingle:
         assert len(out.read_text().splitlines()) == 1 + 3 * (3 if values else 1)
 
     def test_init_mode_accounts_for_preamble(self):
-        rows = run_trials([small_config(mode="init", trials=2, epsilon=0.25)])
-        for row in rows:
-            assert row.labels > row.report.total_labels  # init labels included
+        # Every run charges m_k labels per epoch, so a trial's labels pass
+        # the steps of its schedules by the disagreement test alone: none
+        # when the branches land (anti)parallel, hypothesis_test_size otherwise.
+        for noise in (NoiseModel.realizable(), NoiseModel.bounded(0.2)):
+            config = small_config(mode="init", noise=noise, trials=4)
+            test_size = initialization.hypothesis_test_size(noise, config.delta)
+            extra = {row.labels - steps_per_trial(config) for row in run_trials([config])}
+            assert extra <= {0, test_size}
+            assert test_size in extra
 
 
 class TestSweep:
@@ -489,7 +506,12 @@ class TestCli:
         code = main(["verify", "--seed", "2", "--samples", "20000", "--out", str(out)])
         assert code == 0
         assert out.exists()
-        assert "checks passed" in capsys.readouterr().out
+        # The summary counts the out-of-regime band_mass cells apart.
+        lines = capsys.readouterr().out.splitlines()
+        skipped = sum(line.startswith("[SKIP]") for line in lines)
+        checks = sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
+        assert skipped > 0
+        assert lines[-1] == f"verify: {checks}/{checks} checks passed, {skipped} skipped"
 
     @pytest.mark.parametrize("argv", [
         ["--samples", "0"],

@@ -23,10 +23,11 @@ from scipy import stats
 from percband import geometry, learner
 from percband.bench import ExperimentConfig, run_trials, write_csv
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
-from percband.learner import Schedule, active_perceptron, modified_perceptron_step
+from percband.learner import Schedule, active_perceptron
 from percband.oracles import LabelingOracle, NoiseModel, flip_coins, flip_radius
 
 from conftest import lift, one_epoch, planted_pair, traced_peak_bytes, unit_orthogonal
+from reference import modified_perceptron_step
 
 D = 10
 MODELS = (

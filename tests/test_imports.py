@@ -34,7 +34,7 @@ def test_no_module_imports_another_modules_private_names():
 
 # The literal references the tests compare the engine against; src calls
 # them nowhere else.
-REFERENCES = ("LabeledExampleSource", "modified_perceptron_step", "rejection_sample_band")
+REFERENCES = ("LabeledExampleSource", "rejection_sample_band")
 
 
 def unused_public_definitions(modules: list[pathlib.Path]) -> list[str]:
@@ -81,24 +81,36 @@ def test_no_module_or_test_imports_a_name_it_never_uses():
     assert [hit for path in files for hit in unused_imports(path)] == []
 
 
-def readme_module_names() -> list[tuple[str, str]]:
-    """Every (module, NAME) of a code span in README.md that starts with
-    `module.NAME`, for a percband module or the package itself."""
-    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} | {"percband"}
+def readme_code_names() -> list[tuple[str, str]]:
+    """Every (owner, NAME) of a code span in README.md that starts with
+    `owner.NAME`."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    return sorted({(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)", text) if m in modules})
+    return sorted(set(re.findall(r"`(\w+)\.(\w+)", text)))
+
+
+def percband_classes() -> dict[str, type]:
+    """Every class a percband module defines, by name."""
+    modules = [importlib.import_module(f"percband.{path.stem}") for path in PACKAGE.glob("*.py")]
+    return {name: obj for module in modules for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__}
 
 
 def test_readme_names_only_what_src_defines():
-    # A name the README gives a percband module must be there: a constant
-    # or function src dropped leaves a stale name behind.
-    names = readme_module_names()
-    assert len(names) > 10
+    # A name the README gives a percband module or class must be there: a
+    # constant, function or attribute src dropped leaves a stale name behind.
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} | {"percband"}
+    classes = percband_classes()
+    names = readme_code_names()
+    module_names = [(m, n) for m, n in names if m in modules]
+    class_names = [(c, n) for c, n in names if c in classes]
+    assert len(module_names) > 10
+    assert len(class_names) >= 4
     missing = []
-    for module, name in names:
+    for module, name in module_names:
         owner = importlib.import_module("percband" if module == "percband" else f"percband.{module}")
         if not (hasattr(owner, name) or module == "percband" and (PACKAGE / f"{name}.py").exists()):
             missing.append(f"{module}.{name}")
+    missing += [f"{cls}.{name}" for cls, name in class_names if not hasattr(classes[cls], name)]
     assert missing == []
 
 

