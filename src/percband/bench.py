@@ -14,11 +14,10 @@ timing is enabled (it defaults to off to keep output byte-reproducible).
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +42,6 @@ CSV_HEADER = (
 VERIFY_CSV_HEADER = "check,passed,statistic,bound,margin,detail"
 
 MODES = ("active", "passive", "init")
-SWEEP_AXES = ("d", "eta", "nu", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -230,20 +228,6 @@ def summarize(rows: list[TrialRow]) -> list[tuple[float, float, float]]:
         )
         for g in groups.values()
     ]
-
-
-def config_for_value(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "d":
-        if not math.isfinite(value) or value != int(value) or value < 3:
-            raise ValueError(f"invalid dimension {value!r}")
-        return replace(config, d=int(value))
-    if axis == "epsilon":
-        return replace(config, epsilon=float(value))
-    if axis == "eta":
-        return replace(config, noise=NoiseModel.bounded(float(value)))
-    if axis == "nu":
-        return replace(config, noise=NoiseModel.adversarial(float(value)))
-    raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
 def write_csv(path: str, rows: list[TrialRow]) -> None:

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``      - seeded trials at a single configuration
-* ``sweep``    - trials across one axis (d, eta, nu, epsilon)
+* ``sweep``    - trials across one setting (d, noise, epsilon)
 * ``init-run`` - trials with the acute-initialization preamble (``run --mode init``)
 * ``verify``   - the statistical verification suite
 
@@ -31,10 +31,8 @@ import sys
 
 from .bench import (
     MODES,
-    SWEEP_AXES,
     ExperimentConfig,
     check_bands,
-    config_for_value,
     run_trials,
     steps_per_trial,
     summarize,
@@ -55,6 +53,8 @@ COMMANDS = {
     "verify": "run the statistical verification suite",
 }
 _TRIALS = ("run", "sweep", "init-run")
+# The settings a sweep may vary; each value is read as its flag is.
+SWEEP_AXES = ("d", "noise", "epsilon")
 
 # Every setting: the JSON type a config-file value must have (an integer
 # passes where a float is expected), the commands that read it, its help.
@@ -85,29 +85,29 @@ _SUITE_ARGS = {"seed": "seed", "samples": "n_samples"}
 
 def parse_noise(spec: str) -> NoiseModel:
     """Parse a noise spec: realizable | bounded:ETA | adversarial:NU."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "realizable" and len(parts) == 1:
+    kind, colon, level = spec.partition(":")
+    if kind == "realizable" and not colon:
         return NoiseModel.realizable()
-    if kind == "bounded" and len(parts) == 2:
-        return NoiseModel.bounded(float(parts[1]))
-    if kind == "adversarial" and len(parts) == 2:
-        return NoiseModel.adversarial(float(parts[1]))
+    if kind in ("bounded", "adversarial") and colon:
+        try:
+            level = float(level)
+        except ValueError:
+            raise ValueError(f"bad noise spec {spec!r}") from None
+        return getattr(NoiseModel, kind)(level)
     raise ValueError(f"bad noise spec {spec!r}")
 
 
-def parse_sweep(spec: str) -> tuple[str, list[float]]:
-    """Parse ``axis=v1,v2,...`` into an axis name and value list."""
-    if "=" not in spec:
-        raise ValueError(f"sweep spec must be axis=v1,v2,..., got {spec!r}")
-    axis, _, raw = spec.partition("=")
+def parse_sweep(spec: str) -> tuple[str, list]:
+    """Parse ``axis=v1,v2,...`` into a setting name and its values, each
+    converted with the type of the setting's flag."""
+    axis, sep, raw = spec.partition("=")
     axis = axis.strip()
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
-    values = [float(tok) for tok in raw.split(",") if tok.strip()]
-    if not values:
-        raise ValueError(f"sweep spec has no values: {spec!r}")
-    return axis, values
+    if not sep or axis not in SWEEP_AXES:
+        raise ValueError(f"sweep spec must be axis=v1,v2,... with axis in {SWEEP_AXES}, got {spec!r}")
+    try:
+        return axis, [SETTINGS[axis][0](tok) for tok in raw.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--sweep {axis}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,13 +214,13 @@ def main(argv: list[str] | None = None) -> int:
             jobs = settings.get("jobs", 1)
             if jobs < 1:
                 raise ValueError(f"--jobs must be >= 1, got {jobs}")
-            config = build_config(args.command, settings)
-            configs = [config]
+            config_settings = [settings]
             if args.command == "sweep":
                 if "sweep" not in settings:
                     raise ValueError("sweep requires --sweep axis=v1,v2,...")
                 axis, values = parse_sweep(settings["sweep"])
-                configs = [config_for_value(config, axis, value) for value in values]
+                config_settings = [{**settings, axis: value} for value in values]
+            configs = [build_config(args.command, s) for s in config_settings]
             _check_cost(configs, settings.get("max_steps", MAX_STEPS))
             for c in configs:
                 check_bands(c)
@@ -242,7 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         write_csv(settings["out"], rows)
     if args.command == "sweep":
         for value, (labels, draws, rate) in zip(values, summarize(rows)):
-            print(f"{axis}={value:g}: median_labels={labels:g} median_unlabeled={draws:g} "
+            value = value if axis == "noise" else f"{value:g}"
+            print(f"{axis}={value}: median_labels={labels:g} median_unlabeled={draws:g} "
                   f"success_rate={rate:.2f}")
         return 0
     labels, draws, _ = summarize(rows)[0]

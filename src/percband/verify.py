@@ -321,6 +321,8 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
     generator belongs to one thread, so every draw is the same as in one
     thread and the results come back in the same order.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     children = np.random.SeedSequence(seed).spawn(3)

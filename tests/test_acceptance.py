@@ -7,13 +7,14 @@ are seeded, so outcomes are reproducible bit for bit.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
 from percband import geometry
-from percband.bench import ExperimentConfig, config_for_value, run_trials, summarize, write_csv
+from percband.bench import ExperimentConfig, run_trials, summarize, write_csv
 from percband.geometry import Band, rejection_sample_band, sample_uniform_sphere
 from percband.initialization import acute_initialize
 from percband.oracles import LabelingOracle, NoiseModel
@@ -39,8 +40,8 @@ def run_mode(mode, noise, d=10, eps=0.05, trials=20, seed=1, **kw):
 
 
 def sweep(cfg, axis, values):
-    """The rows of cfg's trials at each value of the axis."""
-    return run_trials([config_for_value(cfg, axis, v) for v in values])
+    """The rows of cfg's trials with the field ``axis`` at each value."""
+    return run_trials([replace(cfg, **{axis: v}) for v in values])
 
 
 EPSILONS = [0.2, 0.1, 0.05, 0.025]
@@ -142,7 +143,7 @@ def test_criterion_07_label_scaling_in_noise():
         mode="active", d=10, noise=NoiseModel.realizable(), epsilon=0.05,
         delta=0.1, trials=10, master_seed=7,
     )
-    summaries = summarize(sweep(cfg, "eta", [0.1, 0.3]))
+    summaries = summarize(sweep(cfg, "noise", [NoiseModel.bounded(0.1), NoiseModel.bounded(0.3)]))
     ratio = summaries[1][0] / summaries[0][0]
     expected = ((1 - 0.2) / (1 - 0.6)) ** 2  # = 4
     ok = expected / 3.0 <= ratio <= expected * 3.0

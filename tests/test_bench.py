@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from percband import bench, geometry, initialization, learner
 from percband.bench import (
     CSV_HEADER,
     ExperimentConfig,
-    config_for_value,
     run_trial,
     run_trials,
     steps_per_trial,
@@ -24,6 +24,7 @@ from percband.bench import (
 from percband.cli import (
     COMMANDS,
     SETTINGS,
+    SWEEP_AXES,
     build_config,
     build_parser,
     main,
@@ -154,11 +155,11 @@ class TestRunSingle:
         config = small_config(d=np.int64(5), trials=np.int64(1), master_seed=np.int64(11))
         assert run_trials([config])[0].csv_line() == run_trials([small_config(trials=1)])[0].csv_line()
 
-    @pytest.mark.parametrize("command,built", [("run", 1), ("init-run", 2), ("sweep", 4)])
+    @pytest.mark.parametrize("command,built", [("run", 1), ("init-run", 2), ("sweep", 3)])
     def test_each_schedule_is_built_once_per_call(self, monkeypatch, tmp_path, command, built):
         # The config keeps its schedules: the cost preflight, the band-floor
         # check and every trial (init's branch runs included) read them. A
-        # sweep builds its base config and one config per value, once each.
+        # sweep builds one config per value, once each, and no other.
         values = ["--sweep", "epsilon=0.5,0.25,0.125"] if command == "sweep" else []
         calls = []
         make = learner.make_schedule
@@ -185,7 +186,7 @@ class TestRunSingle:
 class TestSweep:
     def test_rows_ordered_and_summarized(self):
         cfg = small_config(trials=2)
-        rows = run_trials([config_for_value(cfg, "epsilon", v) for v in (0.5, 0.25)])
+        rows = run_trials([replace(cfg, epsilon=v) for v in (0.5, 0.25)])
         assert [(r.value_index, r.trial) for r in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert [r.config.epsilon for r in rows] == [0.5, 0.5, 0.25, 0.25]
         summaries = summarize(rows)
@@ -193,14 +194,16 @@ class TestSweep:
         assert all(0.0 <= rate <= 1.0 for _, _, rate in summaries)
         assert summarize(rows[2:]) == summaries[1:]
 
-    def test_axis_substitution(self):
-        cfg = small_config()
-        assert config_for_value(cfg, "d", 8).d == 8
-        assert config_for_value(cfg, "eta", 0.2).noise == NoiseModel.bounded(0.2)
-        assert config_for_value(cfg, "nu", 0.01).noise == NoiseModel.adversarial(0.01)
-        assert config_for_value(cfg, "epsilon", 0.1).epsilon == 0.1
-        with pytest.raises(ValueError):
-            config_for_value(cfg, "gamma", 1)
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_one_value_sweep_writes_the_run_csv(self, tmp_path, axis):
+        # A sweep value is built as its setting's flag is, and overrides the
+        # flag; both calls run value index 0, so their bytes agree.
+        value = {"d": "7", "noise": "adversarial:0.01", "epsilon": "0.25"}[axis]
+        common = ["--d", "5", "--noise", "bounded:0.1", "--epsilon", "0.5", "--trials", "2", "--seed", "4"]
+        run, sweep = tmp_path / "run.csv", tmp_path / "sweep.csv"
+        assert main(["run", *common, f"--{axis}", value, "--out", str(run)]) == 0
+        assert main(["sweep", *common, "--sweep", f"{axis}={value}", "--out", str(sweep)]) == 0
+        assert sweep.read_bytes() == run.read_bytes()
 
     def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
         workers = []
@@ -236,7 +239,7 @@ class TestSweep:
 
     def test_parallel_jobs_reproduce_serial_bytes(self, tmp_path):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        configs = [config_for_value(small_config(trials=2), "epsilon", v) for v in (0.5, 0.25)]
+        configs = [replace(small_config(trials=2), epsilon=v) for v in (0.5, 0.25)]
         write_csv(str(serial), run_trials(configs))
         write_csv(str(parallel), run_trials(configs, jobs=2))
         assert serial.read_bytes() == parallel.read_bytes()
@@ -251,10 +254,15 @@ class TestCli:
             parse_noise("bogus:1")
         with pytest.raises(ValueError):
             parse_noise("bounded_margin:0.2:0.5")
+        for spec in ("bounded:x", "adversarial:", "bounded:0.1:0.2", "realizable:0"):
+            with pytest.raises(ValueError, match="bad noise spec"):
+                parse_noise(spec)
 
     def test_parse_sweep(self):
         axis, values = parse_sweep("epsilon=0.2,0.1")
         assert axis == "epsilon" and values == [0.2, 0.1]
+        assert parse_sweep("d=5, 10") == ("d", [5, 10])
+        assert parse_sweep("noise=bounded:0.1,realizable") == ("noise", ["bounded:0.1", "realizable"])
         with pytest.raises(Exception):
             parse_sweep("epsilon")
         with pytest.raises(Exception):
@@ -356,7 +364,7 @@ class TestCli:
         ["sweep", "--sweep", "epsilon=0.4,0.05", "--max-steps", "1000"],
         # A band mass takes O(d) memory: the cost check must come first.
         ["run", "--d", "1000000000000"],
-        ["sweep", "--sweep", "d=1e12"],
+        ["sweep", "--sweep", "d=1000000000000"],
     ])
     def test_absurd_cost_is_refused_before_running(self, capsys, argv):
         start = time.perf_counter()
@@ -469,11 +477,28 @@ class TestCli:
         assert (rows[1]["d"], float(rows[1]["scale_m"])) == (str(defaults.d), defaults.scale_m)
 
     def test_bad_sweep_value_is_a_usage_error(self, capsys):
-        for spec in ("d=2.5", "d=inf"):
+        # Every token is converted as the axis's flag converts it: an empty
+        # one is no value to drop but a usage error.
+        for spec, named in (
+            ("d=2.5", "--sweep d:"), ("d=inf", "--sweep d:"), ("d=1e3", "--sweep d:"),
+            ("epsilon=0.5,,0.25", "--sweep epsilon:"), ("epsilon=0.5,", "--sweep epsilon:"),
+            ("epsilon=x", "--sweep epsilon:"),
+            ("noise=bounded:0.1,bounded:x", "bad noise spec"), ("noise=realizable,", "bad noise spec"),
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(["sweep", "--d", "5", "--trials", "1", "--sweep", spec])
             assert exc.value.code == 2
-            assert "invalid dimension" in capsys.readouterr().err
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and named in errors[0]
+
+    @pytest.mark.parametrize("spec", ["eta=0.1", "nu=0.01"])
+    def test_noise_level_axes_are_usage_errors(self, capsys, spec):
+        # The noise level is swept through the noise setting: noise=bounded:0.1,...
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--d", "5", "--trials", "1", "--sweep", spec])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and str(SWEEP_AXES) in errors[0]
 
     def test_config_file_mode_init_runs_init(self, tmp_path):
         out = tmp_path / "init.csv"
@@ -526,7 +551,9 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        errors = [line for line in err.splitlines() if "error:" in line]
+        # The one error line names the setting, not numpy's reason.
+        assert len(errors) == 1 and argv[0].lstrip("-") in errors[0]
 
     def test_readme_cli_lines_parse_and_build(self):
         block = readme_block("## CLI", "```sh")
