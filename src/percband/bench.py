@@ -60,6 +60,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
+        if not isinstance(self.measure_time, bool):
+            raise ValueError(f"measure_time must be a bool, got {self.measure_time!r}")
         for name in ("d", "trials", "master_seed"):
             value = getattr(self, name)
             try:

@@ -87,13 +87,13 @@ def parse_noise(spec: str) -> NoiseModel:
     """Parse a noise spec: realizable | bounded:ETA | adversarial:NU."""
     kind, colon, level = spec.partition(":")
     if kind == "realizable" and not colon:
-        return NoiseModel.realizable()
+        return NoiseModel(kind)
     if kind in ("bounded", "adversarial") and colon:
         try:
             level = float(level)
         except ValueError:
             raise ValueError(f"bad noise spec {spec!r}") from None
-        return getattr(NoiseModel, kind)(level)
+        return NoiseModel(kind, level)
     raise ValueError(f"bad noise spec {spec!r}")
 
 

@@ -104,7 +104,7 @@ def acute_initialize(
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    d, model = oracle.dimension, oracle.model
+    d, model = oracle.target.shape[0], oracle.model
     if schedule is None:
         schedule = branch_schedule(d, model, delta)
     e1 = np.zeros(d)

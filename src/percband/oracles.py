@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,58 +27,44 @@ from . import geometry
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Label-corruption configuration; use the class-method constructors."""
+    """Label-corruption configuration: a kind and its one level ``param``,
+    eta for bounded noise, nu for adversarial noise and 0 for realizable."""
 
     kind: str
-    eta: float = 0.0
-    nu: float = 0.0
-
-    # The fields each kind reads; the others must keep their defaults.
-    _KINDS = {
-        "realizable": (),
-        "bounded": ("eta",),
-        "adversarial": ("nu",),
-    }
+    param: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        name = {"realizable": "param", "bounded": "eta", "adversarial": "nu"}.get(self.kind)
+        if name is None:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if f.name not in self._KINDS[self.kind] and value != f.default:
-                raise ValueError(f"{self.kind} noise does not read {f.name}, got {f.name}={value!r}")
-        if not (0.0 <= self.eta < 0.5):
-            raise ValueError(f"eta must lie in [0, 1/2), got {self.eta}")
-        if not (0.0 <= self.nu <= 1.0):
-            raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
+        p = self.param
+        if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, got {p!r}")
+        if self.kind == "realizable" and p != 0.0:
+            raise ValueError(f"param must be 0 for realizable noise, got {p}")
+        if self.kind == "bounded" and not (0.0 <= p < 0.5):
+            raise ValueError(f"eta must lie in [0, 1/2), got {p}")
+        if self.kind == "adversarial" and not (0.0 <= p <= 1.0):
+            raise ValueError(f"nu must lie in [0, 1], got {p}")
 
     @classmethod
     def realizable(cls) -> "NoiseModel":
-        return cls(kind="realizable")
+        return cls("realizable")
 
     @classmethod
     def bounded(cls, eta: float) -> "NoiseModel":
-        return cls(kind="bounded", eta=eta)
+        return cls("bounded", eta)
 
     @classmethod
     def adversarial(cls, nu: float) -> "NoiseModel":
-        return cls(kind="adversarial", nu=nu)
+        return cls("adversarial", nu)
 
     @property
     def zeta(self) -> float:
         """Noise factor 1 - 2 eta for bounded noise, 1 otherwise."""
         if self.kind == "bounded":
-            return 1.0 - 2.0 * self.eta
+            return 1.0 - 2.0 * self.param
         return 1.0
-
-    @property
-    def param(self) -> float:
-        """The scalar noise level (eta, nu, or 0) for reporting."""
-        if self.kind == "bounded":
-            return self.eta
-        if self.kind == "adversarial":
-            return self.nu
-        return 0.0
 
 
 def adversarial_threshold(d: int, nu: float) -> float:
@@ -116,15 +102,15 @@ def flip_coins(model: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarra
     label iff |u . x| is at most :func:`flip_radius`.
     """
     if model.kind == "bounded":
-        return rng.random(n) < model.eta
-    return np.full(n, model.kind == "adversarial" and model.nu > 0.0)
+        return rng.random(n) < model.param
+    return np.full(n, model.kind == "adversarial" and model.param > 0.0)
 
 
 def flip_radius(model: NoiseModel, d: int) -> float:
     """The largest |u . x| in R^d at which a coin from :func:`flip_coins`
     flips a label: the adversarial slab's half-width, or inf."""
     if model.kind == "adversarial":
-        return adversarial_threshold(d, model.nu)
+        return adversarial_threshold(d, model.param)
     return math.inf
 
 
@@ -143,18 +129,9 @@ class LabelingOracle:
         self._radius = flip_radius(model, self.target.shape[0])
 
     @property
-    def dimension(self) -> int:
-        return self.target.shape[0]
-
-    @property
     def queries(self) -> int:
         """Exact number of labels charged so far."""
         return self._queries
-
-    @property
-    def slab_threshold(self) -> float | None:
-        """Adversarial corruption half-width tau, if applicable."""
-        return self._radius if self.model.kind == "adversarial" else None
 
     def query(self, x) -> int:
         """Return a label in {-1, +1} for ``x``; increments the counter by 1."""
@@ -166,10 +143,9 @@ class LabelingOracle:
     def query_batch(self, points: np.ndarray) -> np.ndarray:
         """Labels for an (n, d) array of unit points; increments the counter by n."""
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise geometry.DimensionMismatch(
-                f"expected shape (n, {self.dimension}), got {pts.shape}"
-            )
+        d = self.target.shape[0]
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise geometry.DimensionMismatch(f"expected shape (n, {d}), got {pts.shape}")
         self._queries += pts.shape[0]
         return self._labels(pts @ self.target)
 

@@ -151,6 +151,12 @@ class TestRunSingle:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(epsilon=0.3, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [("noise", "bounded:0.2"), ("measure_time", "no"), ("measure_time", 1)])
+    def test_config_refuses_a_mistyped_field(self, field, value):
+        # A noise spec string is the CLI's; a truthy non-bool would turn timing on.
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            ExperimentConfig(epsilon=0.3, **{field: value})
+
     def test_config_takes_numpy_integers(self):
         config = small_config(d=np.int64(5), trials=np.int64(1), master_seed=np.int64(11))
         assert run_trials([config])[0].csv_line() == run_trials([small_config(trials=1)])[0].csv_line()
@@ -257,6 +263,14 @@ class TestCli:
         for spec in ("bounded:x", "adversarial:", "bounded:0.1:0.2", "realizable:0"):
             with pytest.raises(ValueError, match="bad noise spec"):
                 parse_noise(spec)
+
+    @pytest.mark.parametrize("spec", ["realizable", "bounded:0.2", "adversarial:0.005"])
+    def test_row_noise_columns_parse_back_to_the_model(self, spec):
+        config = build_config("run", {"d": 5, "noise": spec, "epsilon": 0.25, "trials": 1})
+        row = dict(zip(CSV_HEADER.split(","), run_trials([config])[0].csv_line().split(",")))
+        kind, param = row["noise_kind"], row["noise_param"]
+        # A realizable row's level reads 0, and its spec is the kind alone.
+        assert parse_noise(kind if (kind, param) == ("realizable", "0") else f"{kind}:{param}") == config.noise
 
     def test_parse_sweep(self):
         axis, values = parse_sweep("epsilon=0.2,0.1")

@@ -73,7 +73,7 @@ def reference_run(oracle, w0, e, schedule, rng, charge_rejected, lift_rng):
     primitives, each row lifted to R^d with the help of lift_rng, with one e
     for the whole run; returns ((t . w, e . w), labels, draws, angles), the
     last three per epoch."""
-    d, t = oracle.dimension, oracle.target
+    d, t = oracle.target.shape[0], oracle.target
     w, labels, draws, angles = w0, [], [], []
     for m, b in zip(schedule.m, schedule.b):
         p = band_mass(d, b / 2.0, b)

@@ -126,7 +126,10 @@ def test_benchmark_finds_every_name_it_uses():
     # The tracer looks up every function and method it wraps when it is
     # built, and the set-up probe builds each workload's configurations, so
     # a src change that removes a name the benchmark needs fails here.
-    run_with_benchmark_path(["-c", "import tracer; t = tracer.Tracer(); t.install(); t.uninstall()"])
+    # A traced init query reads the noise level as ``NoiseModel.param``.
+    run_with_benchmark_path(["-c", "import tracer; t = tracer.Tracer(); t.install(); t.uninstall(); "
+                             "from percband import NoiseModel; "
+                             "assert tracer._noise_spec(NoiseModel.bounded(0.2)) == 'bounded:0.2'"])
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     assert workloads
     for workload in workloads:

@@ -28,14 +28,26 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(kind="weird")
 
-    @pytest.mark.parametrize("fields", [
-        {"kind": "realizable", "eta": 0.3},
-        {"kind": "bounded", "eta": 0.2, "nu": 0.1},
-        {"kind": "adversarial", "nu": 0.01, "eta": 0.4},
-    ], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
-    def test_field_its_kind_does_not_read_is_refused(self, fields):
-        with pytest.raises(ValueError, match="does not read"):
-            NoiseModel(**fields)
+    @pytest.mark.parametrize("kind,param,level", [
+        ("realizable", 0.3, "param"),
+        ("bounded", 0.5, "eta"),
+        ("bounded", -0.1, "eta"),
+        ("bounded", math.nan, "eta"),
+        ("adversarial", 1.5, "nu"),
+        ("adversarial", math.nan, "nu"),
+        ("adversarial", True, "nu"),
+        ("bounded", "0.2", "eta"),
+    ])
+    def test_level_outside_its_kinds_range_is_refused(self, kind, param, level):
+        # One level per kind, checked by name; a bool or a string is no level.
+        with pytest.raises(ValueError, match=f"^{level} must"):
+            NoiseModel(kind, param)
+
+    def test_level_at_the_ends_of_its_range(self):
+        assert NoiseModel("bounded", 0).zeta == 1.0
+        assert NoiseModel("bounded", np.float64(0.49)).param == 0.49
+        assert NoiseModel.adversarial(1.0).param == NoiseModel("adversarial", np.int64(1)).param
+        assert NoiseModel.realizable() == NoiseModel("realizable", 0.0)
 
     def test_zeta(self):
         assert NoiseModel.realizable().zeta == 1.0
