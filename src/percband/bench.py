@@ -14,7 +14,6 @@ timing is enabled (it defaults to off to keep output byte-reproducible).
 
 from __future__ import annotations
 
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -66,10 +65,8 @@ class ExperimentConfig:
             raise ValueError(f"measure_time must be a bool, got {self.measure_time!r}")
         for name in ("d", "trials", "master_seed"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # Building the schedules a trial runs checks d, epsilon, delta and

@@ -111,9 +111,16 @@ def parse_sweep(spec: str) -> tuple[str, list]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser at the terminal's width. One parser is built per
+    width and shared by every call: parse with it, do not change it."""
+    return _parser(shutil.get_terminal_size().columns - 2)
+
+
+@functools.cache
+def _parser(width: int) -> argparse.ArgumentParser:
     # argparse builds a help formatter for every flag it adds, and each one
     # asks for the terminal width: ask once, for the width it would read.
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="percband",
         description="Active halfspace learning benchmark on the unit sphere",

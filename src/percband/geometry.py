@@ -56,7 +56,7 @@ def check_unit(v, name: str = "vector") -> np.ndarray:
             f"{name} must have dimension >= {MIN_DIMENSION}, got {arr.shape[0]}"
         )
     norm = math.sqrt(arr.dot(arr))
-    if abs(norm - 1.0) > UNIT_NORM_ATOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_ATOL:
         raise ValueError(f"{name} must have unit norm, got {norm!r}")
     return arr
 

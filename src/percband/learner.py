@@ -35,6 +35,11 @@ angles a schedule asks for: a alone rounds to 1 below about 1.5e-8. The
 only limit on epsilon is then the band-mass floor MIN_BAND_MASS, below
 which a step's draw count is no longer exact.
 
+A step that does not fire changes nothing. In a tape chunk where no label
+flips and the chain starts acute, a fire only raises a and only lowers pa,
+so the chain skips the steps that would not fire from the chunk's start,
+with the same states, bit for bit (:func:`_chunk_rows`).
+
 The theory-grade schedule constants make m_k astronomically large (the proof
 constants are (3200 pi)^3 and 1/(2 (600 pi)^2)); they are exposed here as
 THEORY_SCALE_M / THEORY_SCALE_B so the exact formulas remain reachable, while
@@ -138,8 +143,11 @@ class Schedule:
         _check_epsilon(self.epsilon)
         if not self.m or len(self.m) != len(self.b):
             raise ValueError("schedule arrays must have one entry per epoch")
-        if any(mk < 1 for mk in self.m):
-            raise ValueError("every m_k must be >= 1")
+        for mk in self.m:
+            if isinstance(mk, bool) or not isinstance(mk, (int, np.integer)):
+                raise ValueError(f"every m_k must be an integer, got {mk!r}")
+            if mk < 1:
+                raise ValueError("every m_k must be >= 1")
         if any(not (0.0 < bk <= 1.0) for bk in self.b):
             raise ValueError("every b_k must lie in (0, 1]")
 
@@ -244,6 +252,37 @@ def _start_chain(target, w0) -> tuple[np.ndarray, tuple[float, float, float]]:
     return e, (a / norm, b / norm, 0.0)
 
 
+def _chunk_rows(a, pa, tape, coins):
+    """The rows of a tape chunk that the chain visits from (a, pa), as
+    (xi, s tau1, s tau2, coin) with s = sqrt(1 - xi^2).
+
+    When no coin of the chunk is set, a >= 0 and 2^-500 <= pa <= 2^500,
+    only the rows that fire from (a, pa) are kept, those where
+    not (xi a + pa s tau1 >= 0): no other row can fire later in the chunk.
+    This is exact, bit for bit:
+
+    - with no coin set a row fires iff tx = xi a + pa s tau1 is not >= 0,
+      so at a fire tx < 0, step = 2 xi tx <= 0 (margins are positive) and
+      a - step >= a: a never falls below its value at the chunk's start;
+    - the added term step (2 a - step) is then <= 0, so q <= fl(pa * pa).
+      Rounding is monotone, and sqrt(fl(x * x)) == x while x * x is a
+      normal float, as it is for the start's pa: pa never rises above its
+      value at the chunk's start;
+    - so a row with s tau1 >= 0 keeps both terms of tx >= 0, and a row
+      with s tau1 < 0 has every later tx at least its tx at the start.
+
+    Every other chunk (a label may flip, an obtuse or NaN start, pa near 0)
+    visits all its rows.
+    """
+    margins, tau2 = tape.margins, tape.tau2
+    s = np.sqrt((1.0 - margins) * (1.0 + margins))
+    st1 = s * tape.tau1
+    if not coins.any() and a >= 0.0 and 2.0**-500 <= pa <= 2.0**500:
+        keep = ~(margins * a + pa * st1 >= 0.0)
+        margins, s, st1, tau2, coins = margins[keep], s[keep], st1[keep], tau2[keep], coins[keep]
+    return zip(margins.tolist(), st1.tolist(), (s * tau2).tolist(), coins.tolist())
+
+
 def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
     """The iterations of a tape on (a, b, c) = (t . w, e . w, |rest of w|);
     returns the last state.
@@ -254,7 +293,8 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
     |(b, c)|, z the direction of the rest of w) are the tape's (tau1, tau2).
     Then t . x = xi a + s pa tau1 and e . x = xi b + s (c tau2 - a b tau1) / pa.
     When pa = 0 (w = +-t), u1 = e and e . x = xi b + s tau1. A step that
-    does not fire costs a few float operations.
+    does not fire changes nothing, so the loop visits only the rows of
+    :func:`_chunk_rows`, which leaves out only rows that cannot fire.
 
     pa is carried, not recomputed from a: a fire that moves a by step sets
     pa^2 = 1 - (a - step)^2 = pa^2 + step (2 a - step) and c^2 = pa^2 - b^2,
@@ -265,11 +305,7 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
     sqrt = math.sqrt
     a, b, c = chain
     pa = math.hypot(b, c)
-    margins = tape.margins
-    s = np.sqrt((1.0 - margins) * (1.0 + margins))
-    rows = zip(margins.tolist(), (s * tape.tau1).tolist(), (s * tape.tau2).tolist(),
-               coins.tolist())
-    for xi, st1, st2, coin in rows:
+    for xi, st1, st2, coin in _chunk_rows(a, pa, tape, coins):
         tx = xi * a + pa * st1
         if (tx >= 0.0) == (coin and abs(tx) <= radius):
             ex = xi * b + ((c * st2 - a * b * st1) / pa if pa > 0.0 else st1)

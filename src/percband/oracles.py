@@ -46,6 +46,8 @@ class NoiseModel:
             raise ValueError(f"eta must lie in [0, 1/2), got {p}")
         if self.kind == "adversarial" and not (0.0 <= p <= 1.0):
             raise ValueError(f"nu must lie in [0, 1], got {p}")
+        # A level of -0 is the model of level 0, and is written as 0.
+        object.__setattr__(self, "param", p + 0.0)
 
     @classmethod
     def realizable(cls) -> "NoiseModel":

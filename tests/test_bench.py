@@ -151,6 +151,13 @@ class TestRunSingle:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(epsilon=0.3, **{field: value})
 
+    @pytest.mark.parametrize("field", ["d", "trials", "master_seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_refuses_a_bool_count(self, field, value):
+        # A bool is an int to Python: trials=True would run one trial.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExperimentConfig(epsilon=0.3, **{field: value})
+
     @pytest.mark.parametrize("field,value", [("noise", "bounded:0.2"), ("measure_time", "no"), ("measure_time", 1)])
     def test_config_refuses_a_mistyped_field(self, field, value):
         # A noise spec string is the CLI's; a truthy non-bool would turn timing on.
@@ -271,6 +278,14 @@ class TestCli:
         kind, param = row["noise_kind"], row["noise_param"]
         # A realizable row's level reads 0, and its spec is the kind alone.
         assert parse_noise(kind if (kind, param) == ("realizable", "0") else f"{kind}:{param}") == config.noise
+
+    def test_negative_zero_noise_level_writes_zero(self, tmp_path):
+        # bounded:-0 is the model bounded:0, so its rows are the same bytes.
+        outs = [tmp_path / "minus.csv", tmp_path / "plus.csv"]
+        for spec, out in zip(("bounded:-0", "bounded:0"), outs):
+            assert main(["run", "--d", "5", "--epsilon", "0.3", "--trials", "1", "--noise", spec,
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_parse_sweep(self):
         axis, values = parse_sweep("epsilon=0.2,0.1")

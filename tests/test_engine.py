@@ -522,3 +522,72 @@ def test_chain_clamps_states_that_round_off_the_circle(model):
         assert bits(new) == bits(reference_run_chain(state, row, coins[k:k + 1], radius, clamped))
         state = new
     assert any(clamped)
+
+
+def visited(chain, tape, coins):
+    """The margins of the rows of a chunk that the chain visits from ``chain``."""
+    a, b, c = chain
+    return [row[0] for row in learner._chunk_rows(a, math.hypot(b, c), tape, coins)]
+
+
+def rows(tape, coins, lo, hi):
+    """Rows lo to hi - 1 of a chunk as a chunk of their own."""
+    return geometry.BandTape(*(column[lo:hi] for column in tape)), coins[lo:hi]
+
+
+@given(
+    start=st.sampled_from(sorted(CHAIN_STARTS)),
+    a=st.floats(-1.0, 1.0),
+    d=st.integers(3, 12),
+    width=st.floats(0.004, 0.5),
+    n=st.integers(1, 200),
+    planar=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rows_a_realizable_chunk_skips_cannot_fire(start, a, d, width, n, planar, seed):
+    # From an acute start with pa * pa a normal float, a chunk with no coin
+    # set visits exactly the rows that fire from its start; from any other
+    # start, every row. Replayed row by row through the reference (the
+    # chunk's first k rows, for each k), a row it skips leaves the state's
+    # bits unchanged wherever in the chunk it comes. Every fifth row has
+    # tau1 = 0, so that at a = 0 its t . x is 0 at the start: such a row
+    # does not fire, and is skipped.
+    chain = CHAIN_STARTS[start](a)
+    tape, coins, radius = chain_inputs(NoiseModel.realizable(), d, width, n, seed, planar)
+    tape = tape._replace(tau1=np.where(np.arange(n) % 5 == 0, 0.0, tape.tau1))
+    margins, kept = tape.margins.tolist(), visited(chain, tape, coins)
+    states = [bits(reference_run_chain(chain, *rows(tape, coins, 0, k), radius)) for k in range(n + 1)]
+    fire = [bits(reference_run_chain(chain, *rows(tape, coins, k, k + 1), radius)) != states[0]
+            for k in range(n)]
+    pa = math.hypot(chain[1], chain[2])
+    if chain[0] >= 0.0 and 2.0**-500 <= pa <= 2.0**500:
+        assert kept == [xi for xi, fires in zip(margins, fire) if fires]
+    else:
+        assert kept == margins
+    for k, xi in enumerate(margins):
+        if xi not in kept:
+            assert states[k + 1] == states[k]
+    assert bits(learner._run_chain(chain, tape, coins, radius)) == states[n]
+
+
+# Chunks that visit every row: a label may flip (bounded and adversarial
+# coins), or the start is obtuse, on the target (pa = 0), has pa below
+# 2^-500 (pa * pa is subnormal) or holds a NaN.
+UNSKIPPED = {
+    "bounded": (NoiseModel.bounded(0.2), (0.6, 0.8, 0.0)),
+    "adversarial": (NoiseModel.adversarial(0.05), (0.6, 0.8, 0.0)),
+    "obtuse": (NoiseModel.realizable(), (-0.6, 0.8, 0.0)),
+    "on_target": (NoiseModel.realizable(), (1.0, 0.0, 0.0)),
+    "tiny_pa": (NoiseModel.realizable(), (0.0, 1e-160, 0.0)),
+    "nan_a": (NoiseModel.realizable(), (math.nan, 0.0, 0.5)),
+    "nan_b": (NoiseModel.realizable(), (0.6, math.nan, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSKIPPED))
+def test_chunks_that_visit_every_row(case):
+    model, chain = UNSKIPPED[case]
+    tape, coins, radius = chain_inputs(model, D, 0.03, 300, 23, planar=False)
+    assert visited(chain, tape, coins) == tape.margins.tolist()
+    assert bits(learner._run_chain(chain, tape, coins, radius)) == bits(reference_run_chain(chain, tape, coins, radius))

@@ -128,6 +128,14 @@ class TestCosSin:
         assert geometry.cos_sin(v, -v)[1] < 1e-15
 
 
+class TestCheckUnit:
+    @pytest.mark.parametrize("v", [np.full(4, math.nan), [math.nan, 0.0, 0.0], [1.0, 0.0, math.nan]])
+    def test_nan_is_refused(self, v):
+        # A NaN norm fails every comparison, so it must fail the check.
+        with pytest.raises(ValueError, match="must have unit norm"):
+            geometry.check_unit(v)
+
+
 class TestAngle:
     def test_identity(self):
         assert angle([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 0.0

@@ -137,6 +137,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(epsilon=0.1, m=(0,), b=(0.1,))
 
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "3", None])
+    def test_non_integer_iteration_count_refused(self, m):
+        # Refused when the schedule is built, not inside range() in the run.
+        with pytest.raises(ValueError, match="every m_k must be an integer"):
+            Schedule(epsilon=0.3, m=(5, m), b=(0.1, 0.05))
+
+    def test_numpy_integer_iteration_count_accepted(self):
+        assert Schedule(epsilon=0.3, m=(np.int64(5),), b=(0.1,)).epochs == 1
+
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_epsilon_outside_unit_interval_refused(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
@@ -318,6 +327,14 @@ class TestActivePerceptron:
         final_angle = report.traces[-1].theta_after
         assert math.isclose(final_angle, geometry.angle(report.final, u), rel_tol=1e-12)
         assert report.succeeded == (final_angle <= math.pi * epsilon)
+
+    def test_nan_start_is_refused(self):
+        # Before any draw: the run would report NaN angles and failure.
+        oracle = LabelingOracle(unit([1.0, 0.0, 0.0]), NoiseModel.realizable(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="v0 must have unit norm"):
+            active_perceptron(oracle, np.full(3, math.nan), Schedule(0.5, (5,), (0.1,)),
+                              np.random.default_rng(1))
+        assert oracle.queries == 0
 
     def test_succeeded_flag(self):
         report, _, _, u = build_run(5)

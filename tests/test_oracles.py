@@ -160,6 +160,15 @@ class TestQueryCounting:
 
 
 class TestValidation:
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError, match="target must have unit norm"):
+            LabelingOracle(np.full(4, math.nan), NoiseModel.realizable(), np.random.default_rng(0))
+
+    def test_negative_zero_level_is_zero(self):
+        # -0 is the model of level 0 and is kept as +0.0, so rows print 0.
+        for model in (NoiseModel.bounded(-0.0), NoiseModel.adversarial(-0.0)):
+            assert math.copysign(1.0, model.param) == 1.0
+
     def test_non_unit_query_rejected(self):
         oracle = make_oracle(NoiseModel.realizable(), target=E1)
         with pytest.raises(ValueError):
