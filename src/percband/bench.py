@@ -29,7 +29,6 @@ from .learner import (
     RunReport,
     Schedule,
     active_perceptron,
-    check_band_floor,
     make_schedule,
 )
 from .oracles import LabelingOracle, NoiseModel
@@ -63,17 +62,11 @@ class ExperimentConfig:
             raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
         if not isinstance(self.measure_time, bool):
             raise ValueError(f"measure_time must be a bool, got {self.measure_time!r}")
-        for name in ("d", "trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        # Building the schedules a trial runs checks d, epsilon, delta and
-        # the scale factors; the instance keeps them.
+        for name, low in (("d", geometry.MIN_DIMENSION), ("trials", 1), ("master_seed", 0)):
+            geometry.check_integer(getattr(self, name), name, low)
+        # Building the schedules a trial runs checks epsilon, delta and the
+        # scale factors, their types included; the instance keeps them.
         self.schedules
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     # Built once per configuration and kept on the instance (a frozen
     # dataclass has a __dict__, and it pickles to pool workers with it).
@@ -151,14 +144,6 @@ def steps_per_trial(config: ExperimentConfig) -> int:
     return sum(sum(s.m) for s in config.schedules)
 
 
-def check_bands(config: ExperimentConfig) -> None:
-    """Refuse a configuration whose schedules hold a band of mass below
-    learner.MIN_BAND_MASS. A band mass costs O(d), so the CLI calls this
-    only after its step count has bounded d."""
-    for schedule in dict.fromkeys(config.schedules):
-        check_band_floor(config.d, schedule)
-
-
 def run_trial(config: ExperimentConfig, value_index: int, trial_index: int) -> TrialRow:
     """Execute one fully isolated trial and build its row."""
     seed = trial_seed(config.master_seed, value_index, trial_index)
@@ -202,8 +187,7 @@ def run_trials(configs: list[ExperimentConfig], jobs: int = 1) -> list[TrialRow]
     ``configs`` is its value index in ``trial_seed``. All the trials share
     one pool of min(jobs, trials, CPUs) workers; with one, they run in this
     process."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    geometry.check_integer(jobs, "jobs", 1)
     tasks = [(c, vi, t) for vi, c in enumerate(configs) for t in range(c.trials)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -32,7 +32,6 @@ import sys
 from .bench import (
     MODES,
     ExperimentConfig,
-    check_bands,
     run_trials,
     steps_per_trial,
     summarize,
@@ -229,8 +228,10 @@ def main(argv: list[str] | None = None) -> int:
                 config_settings = [{**settings, axis: value} for value in values]
             configs = [build_config(args.command, s) for s in config_settings]
             _check_cost(configs, settings.get("max_steps", MAX_STEPS))
+            # A band mass costs O(d): checked once the step count bounds d.
             for c in configs:
-                check_bands(c)
+                for schedule in c.schedules:
+                    schedule.band_masses()
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 

@@ -1,8 +1,8 @@
 """Unit-sphere geometry: sampling, angles, and spherical-band measures.
 
-Vectors are plain 1-D float64 numpy arrays of length d >= 3 with unit
-Euclidean norm. All derived quantities rest on two facts about the uniform
-distribution on the sphere:
+A dimension is an integer d >= 3 (:func:`check_dimension`), and vectors are
+plain 1-D float64 numpy arrays of length d with unit Euclidean norm. All
+derived quantities rest on two facts about the uniform law on the sphere:
 
 * the first coordinate has density (1 - z^2)^((d-3)/2) / B((d-1)/2, 1/2)
   on [-1, 1], and
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,9 +47,34 @@ class DimensionMismatch(ValueError):
     """Operands live in different (or unsupported) ambient dimensions."""
 
 
+def check_integer(value, name: str, low: int, error: type = ValueError) -> None:
+    """Refuse, naming it, a value that is not an integer >= low (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def check_dimension(d) -> None:
+    """Refuse a dimension that is not an integer >= MIN_DIMENSION."""
+    check_integer(d, "dimension d", MIN_DIMENSION, DimensionMismatch)
+
+
+def check_real(value, name: str) -> None:
+    """Refuse, naming it, a bool, a value that is not a real number or an
+    integer beyond the float range; NaN and infinities pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} is beyond the float range, got {value!r}")
+
+
 def check_unit(v, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a unit-norm 1-D float64 array."""
-    arr = np.asarray(v, dtype=np.float64)
+    try:
+        arr = np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an array of real numbers, got {v!r}") from None
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.shape[0] < MIN_DIMENSION:
@@ -98,8 +124,7 @@ def sample_uniform_sphere(d: int, rng: np.random.Generator, n: int | None = None
 
     Returns shape (d,) when ``n`` is None, else (n, d).
     """
-    if d < MIN_DIMENSION:
-        raise DimensionMismatch(f"dimension must be >= {MIN_DIMENSION}, got {d}")
+    check_dimension(d)
     if n is None:
         v = rng.standard_normal(d)
         return v / np.linalg.norm(v)
@@ -140,21 +165,21 @@ def disagreement_mass(a, b) -> float:
 def band_mass(d: int, lower: float, upper: float) -> float:
     """P[lower <= x1 <= upper] for x uniform on the sphere in R^d, in closed form.
 
-    Memoized: the trials of one configuration ask for the same bands, one
-    per epoch, so every trial after the first reads them from the cache.
+    Memoized: the CLI's preflight and every run of a configuration ask for
+    the same bands, one per epoch. d is checked before the cache is read,
+    so 10.0, equal to 10 as a key, is refused and not served the d = 10 mass.
 
     With q = 1 - z^2, k = (d - 3) // 2 and e = 1 if d is even, else 0:
     P[0 <= x1 <= z] = e asin(z)/pi + t_0 + ... + t_k, P[x1 >= z] = t_{k+1} + ...,
     t_0 = z sqrt(q)/pi if e else z/2, t_i = t_{i-1} q (2i - 1 + e)/(2i + e)
     (Abramowitz & Stegun 26.7.3-4). Every term is positive.
     """
+    check_dimension(d)
     return _band_mass(d, lower, upper)
 
 
 @functools.lru_cache(maxsize=256)
 def _band_mass(d: int, lower: float, upper: float) -> float:
-    if d < MIN_DIMENSION:
-        raise DimensionMismatch(f"dimension must be >= {MIN_DIMENSION}, got {d}")
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError(f"invalid interval [{lower}, {upper}]")
     k = (d - 3) // 2
@@ -171,40 +196,25 @@ def _series_sum(d: int, z: float, start: int, stop: int) -> float:
     """t_start + ... + t_stop at z, plus e asin(z)/pi if start is 0. q^i is
     exp(i log1p(-z^2)), as q^i of a rounded q would be off by i ulps. The
     terms are summed ``SERIES_TERMS`` at a time, so memory stays bounded in
-    any dimension."""
+    any dimension. Each run's factors t_i / (t_0 q^i) carry on the running
+    product of the run before, so they have the same bits as in one run."""
     if z >= 1.0:
         return 0.5 if start == 0 else 0.0
     even = d % 2 == 0
     log_q = math.log1p(-z * z)
-    total = 0.0
-    for first, factors in _factor_chunks(d, stop):
+    total, carry = 0.0, 1.0
+    for first in range(0, stop + 1, SERIES_TERMS):
+        end = min(first + SERIES_TERMS, stop + 1)
+        m = 2.0 * np.arange(max(first, 1), end) + even
+        factors = np.cumprod(np.concatenate(([carry], (m - 1.0) / m)))[first > 0 :]
+        carry = float(factors[-1])
         lo = max(first, start)
-        if lo < first + factors.size:
-            powers = np.exp(np.arange(lo, first + factors.size) * log_q)
+        if lo < end:
+            powers = np.exp(np.arange(lo, end) * log_q)
             total += float(powers.dot(factors[lo - first :]))
     t0 = z * math.sqrt((1.0 - z) * (1.0 + z)) / math.pi if even else 0.5 * z
     head = math.asin(z) / math.pi if even and start == 0 else 0.0
     return head + t0 * total
-
-
-def _factor_chunks(d: int, n: int):
-    """(i0, f) pairs with f[j] = t_(i0+j) / (t_0 q^(i0+j)), covering 0 <= i <= n
-    in runs of at most ``SERIES_TERMS``. Each run carries on the running
-    product of the one before, so every factor has the same bits as in one
-    run."""
-    carry = 1.0
-    for first in range(0, n + 1, SERIES_TERMS):
-        run = _factor_run(d, carry, first, min(first + SERIES_TERMS, n + 1))
-        yield first, run
-        carry = float(run[-1])
-
-
-def _factor_run(d: int, carry: float, first: int, stop: int) -> np.ndarray:
-    """t_i / (t_0 q^i) for first <= i < stop, from carry, that ratio at
-    i = first - 1 (1 when first is 0)."""
-    m = 2.0 * np.arange(max(first, 1), stop) + (d % 2 == 0)
-    run = np.cumprod(np.concatenate(([carry], (m - 1.0) / m)))
-    return run if first == 0 else run[1:]
 
 
 def sample_margins(

@@ -37,6 +37,7 @@ from .learner import (
     RunReport,
     Schedule,
     active_perceptron,
+    check_probability,
     make_schedule,
 )
 from .oracles import LabelingOracle, NoiseModel
@@ -82,8 +83,7 @@ def branch_schedule(
 ) -> Schedule:
     """The epoch schedule each of the two branch runs follows: target error
     (1 - 2 eta) / 16 at failure budget delta / 3."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_probability(delta, "delta")
     return make_schedule(d, model.zeta / 16.0, delta / 3.0, model, scale_m=scale_m, scale_b=scale_b)
 
 
@@ -102,8 +102,7 @@ def acute_initialize(
     vectors the disagreement region is empty up to measure zero and the
     positive branch is returned outright.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_probability(delta, "delta")
     d, model = oracle.target.shape[0], oracle.model
     if schedule is None:
         schedule = branch_schedule(d, model, delta)

@@ -46,9 +46,10 @@ THEORY_SCALE_M / THEORY_SCALE_B so the exact formulas remain reachable, while
 the defaults are desk-scale values with the same shape in d, zeta, k, delta.
 
 A run takes three inputs: a label oracle (which holds the hidden target and
-the noise model), an epoch schedule built by :func:`make_schedule` from
+the noise model), an epoch schedule built by :func:`make_schedule` from d,
 epsilon, delta and the noise model, and a random generator for the band
-draws. Diagnostics and success are measured against the oracle's target.
+draws. The schedule keeps its d, and a run in another dimension refuses it.
+Diagnostics and success are measured against the oracle's target.
 """
 
 from __future__ import annotations
@@ -98,16 +99,16 @@ def mod_perceptron_params(
     With scale_m = THEORY_SCALE_M and scale_b = THEORY_SCALE_B these are the
     exact theory formulas. Inputs that make m 0 or overflow, or b 0, are refused.
     """
-    if d < geometry.MIN_DIMENSION:
-        raise geometry.DimensionMismatch(f"dimension must be >= {geometry.MIN_DIMENSION}, got {d}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    geometry.check_dimension(d)
+    check_probability(delta, "delta")
     if not (0.0 < zeta <= 1.0):
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
     if not (0.0 < theta <= math.pi):
         raise ValueError(f"theta must lie in (0, pi], got {theta}")
-    if not (0.0 < scale_m < math.inf and 0.0 < scale_b < math.inf):
-        raise ValueError("scale factors must be positive and finite")
+    for name, scale in (("scale_m", scale_m), ("scale_b", scale_b)):
+        geometry.check_real(scale, name)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"scale factors must be positive and finite, got {name} = {scale}")
     try:
         base = scale_m * d / (zeta * zeta)
         m = math.ceil(base * (math.log(base) + math.log(1.0 / delta)))
@@ -120,40 +121,55 @@ def mod_perceptron_params(
     except OverflowError:
         raise ValueError("the iteration count m overflows: d, scale_m or 1 / delta is too large") from None
     if b == 0.0:
-        raise ValueError(f"the band width b_k rounds to 0 at theta = {theta:.3g}: epsilon is too small")
+        raise ValueError(f"the band width b_k rounds to 0 at theta = {theta:.3g}: epsilon or scale_b is too small")
     b = min(b, 1.0 / (10.0 * math.sqrt(d)))
     return m, b
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """Refuse a target error outside (0, 1), NaN included."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+def check_probability(value, name: str) -> None:
+    """Refuse, naming it, a value that is not a real number in (0, 1), NaN included."""
+    geometry.check_real(value, name)
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-epoch iteration counts m and band widths b for target error epsilon."""
+    """Per-epoch iteration counts m and band widths b for target error epsilon in R^d."""
 
+    d: int
     epsilon: float
     m: tuple[int, ...]
     b: tuple[float, ...]
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        if not self.m or len(self.m) != len(self.b):
-            raise ValueError("schedule arrays must have one entry per epoch")
+        geometry.check_dimension(self.d)
+        check_probability(self.epsilon, "epsilon")
+        if not (isinstance(self.m, tuple) and isinstance(self.b, tuple) and self.m and len(self.m) == len(self.b)):
+            raise ValueError("schedule arrays m and b must be tuples with one entry per epoch")
         for mk in self.m:
-            if isinstance(mk, bool) or not isinstance(mk, (int, np.integer)):
-                raise ValueError(f"every m_k must be an integer, got {mk!r}")
-            if mk < 1:
-                raise ValueError("every m_k must be >= 1")
-        if any(not (0.0 < bk <= 1.0) for bk in self.b):
-            raise ValueError("every b_k must lie in (0, 1]")
+            geometry.check_integer(mk, "every m_k", 1)
+        for bk in self.b:
+            geometry.check_real(bk, "every b_k")
+            if not (0.0 < bk <= 1.0):
+                raise ValueError(f"every b_k must lie in (0, 1], got {bk}")
 
     @property
     def epochs(self) -> int:
         return len(self.m)
+
+    def band_masses(self) -> tuple[float, ...]:
+        """The masses of the bands [b/2, b] in R^d, refusing one below
+        MIN_BAND_MASS. A band mass takes O(d) time, so a caller that also
+        bounds the steps of a run checks them first."""
+        masses = tuple(geometry.band_mass(self.d, b / 2.0, b) for b in self.b)
+        for b, p in zip(self.b, masses):
+            if not p >= MIN_BAND_MASS:
+                raise ValueError(
+                    f"the band [b/2, b] at d = {self.d}, b = {b:.3g} has mass {p:.3g}, below the floor "
+                    f"{MIN_BAND_MASS:.3g} at which draw counts stay exact"
+                )
+        return masses
 
 
 def make_schedule(
@@ -170,32 +186,16 @@ def make_schedule(
     for angle bound pi / 2^k at failure budget delta / (k (k+1)), with noise
     factor zeta = 1 - 2 eta under bounded noise and 1 otherwise.
     """
-    _check_epsilon(epsilon)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_probability(epsilon, "epsilon")
+    check_probability(delta, "delta")
+    if not isinstance(model, NoiseModel):
+        raise ValueError(f"model must be a NoiseModel, got {model!r}")
     k0 = max(1, math.ceil(-math.log2(epsilon) - 1e-9))
     m, b = zip(*(
         mod_perceptron_params(d, math.ldexp(math.pi, -k), delta / (k * (k + 1)), model.zeta, scale_m, scale_b)
         for k in range(1, k0 + 1)
     ))
-    return Schedule(epsilon, m, b)
-
-
-def check_band_floor(d: int, schedule: Schedule) -> tuple[float, ...]:
-    """The masses of the schedule's bands [b/2, b] in R^d; a band of mass
-    below MIN_BAND_MASS is refused.
-
-    A band mass takes O(d) time, so a caller that also bounds the steps of
-    a run checks them first.
-    """
-    masses = tuple(geometry.band_mass(d, b / 2.0, b) for b in schedule.b)
-    for b, p in zip(schedule.b, masses):
-        if not p >= MIN_BAND_MASS:
-            raise ValueError(
-                f"the band [b/2, b] at d = {d}, b = {b:.3g} has mass {p:.3g}, below the floor "
-                f"{MIN_BAND_MASS:.3g} at which draw counts stay exact"
-            )
-    return masses
+    return Schedule(d, epsilon, m, b)
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,8 @@ def active_perceptron(
     vector takes its residual direction from ``rng``. A step's draw count is
     one Geometric(p) number, so an epoch costs O(m) whatever its band mass p;
     a band of mass below MIN_BAND_MASS raises ValueError before the first
-    draw.
+    draw, and so does a schedule for another dimension than v0's and the
+    target's (DimensionMismatch).
 
     The acute start (angle(v0, target) <= pi/2) is the caller's
     responsibility; see the initialization module. Every angle is read off
@@ -369,7 +370,9 @@ def active_perceptron(
     target = oracle.target
     geometry.check_same_dimension(v, target)
     d = v.shape[0]
-    masses = check_band_floor(d, schedule)
+    if schedule.d != d:
+        raise geometry.DimensionMismatch(f"the schedule is for d = {schedule.d}, the run is in d = {d}")
+    masses = schedule.band_masses()
     e, chain = _start_chain(target, v)
     theta = _chain_angle(chain)
     traces: list[EpochTrace] = []

@@ -38,8 +38,7 @@ class NoiseModel:
         if name is None:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         p = self.param
-        if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be a real number, got {p!r}")
+        geometry.check_real(p, name)
         if self.kind == "realizable" and p != 0.0:
             raise ValueError(f"param must be 0 for realizable noise, got {p}")
         if self.kind == "bounded" and not (0.0 <= p < 0.5):

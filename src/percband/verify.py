@@ -107,8 +107,7 @@ def check_error_angle_relation(
     n_samples uniform points must match angle/pi within 3 binomial standard
     errors.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    geometry.check_integer(n_samples, "n_samples", 1)
     results = []
     for i in range(n_pairs):
         a = geometry.sample_uniform_sphere(d, rng)
@@ -189,8 +188,7 @@ def check_conditional_moments(
     E[(u.x) 1{u.x<0}] <= xi - theta / (36 sqrt(d)), each allowed 3 standard
     errors of slack. They are claimed for theta in (0, 9 pi / 10].
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    geometry.check_integer(n, "n", 1)
     for theta in theta_list:
         if not (0.0 < theta <= 0.9 * math.pi):
             raise ValueError(f"theta must lie in (0, 9 pi / 10], got {theta}")
@@ -278,8 +276,7 @@ def check_progress_measure(
     """
     if not (0.0 < theta <= 27.0 * math.pi / 50.0):
         raise ValueError(f"theta must lie in (0, 27 pi / 50], got {theta}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    geometry.check_integer(n_steps, "n_steps", 1)
     _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
     total = sq_total = worst = 0.0
     for deltas in _progress_chunks(model, d, theta, b, n_steps, rng):
@@ -321,10 +318,8 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
     generator belongs to one thread, so every draw is the same as in one
     thread and the results come back in the same order.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    geometry.check_integer(seed, "seed", 0)
+    geometry.check_integer(n_samples, "n_samples", 1)
     children = np.random.SeedSequence(seed).spawn(3)
     rng_pairs = np.random.default_rng(children[0])
     rng_moments = np.random.default_rng(children[1])

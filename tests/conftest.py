@@ -33,7 +33,7 @@ def unit(a):
 def one_epoch(oracle, w0, m, b, rng, charge_rejected=False):
     """A run of one epoch of m steps on the band [b/2, b]; returns
     (final vector, labels, draws)."""
-    report = active_perceptron(oracle, w0, Schedule(0.5, (m,), (b,)), rng,
+    report = active_perceptron(oracle, w0, Schedule(oracle.target.shape[0], 0.5, (m,), (b,)), rng,
                                charge_rejected=charge_rejected)
     return report.final, report.total_labels, report.total_unlabeled
 

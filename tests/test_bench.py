@@ -59,6 +59,12 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
+def band_preflight(config):
+    """The CLI's band preflight: every schedule of the config reads its band masses."""
+    for schedule in config.schedules:
+        schedule.band_masses()
+
+
 class TestTrialSeeding:
     def test_seeds_are_stable_and_distinct(self):
         s = trial_seed(0, 0, 0)
@@ -128,15 +134,15 @@ class TestRunSingle:
             run_suite(4, n_samples=0)
 
     def test_config_refuses_epsilon_below_the_floor(self):
-        # The band-mass floor is the only limit on epsilon; check_bands
+        # The band-mass floor is the only limit on epsilon; band_masses()
         # refuses a config whose schedules fall below it, before any trial.
-        bench.check_bands(ExperimentConfig(epsilon=1e-9))
+        band_preflight(ExperimentConfig(epsilon=1e-9))
         with pytest.raises(ValueError, match="below the floor"):
-            bench.check_bands(ExperimentConfig(epsilon=1e-10))
+            band_preflight(ExperimentConfig(epsilon=1e-10))
         # init's branch runs target (1 - 2 eta) / 16, whatever epsilon says.
-        bench.check_bands(ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.49)))
+        band_preflight(ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.49)))
         with pytest.raises(ValueError, match="below the floor"):
-            bench.check_bands(ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.4999999)))
+            band_preflight(ExperimentConfig(mode="init", noise=NoiseModel.bounded(0.4999999)))
 
     @pytest.mark.parametrize("mode", ["active", "init"])
     @pytest.mark.parametrize("scales", [dict(scale_m=-1.0), dict(scale_b=0.0), dict(scale_m=math.inf)])
@@ -163,6 +169,20 @@ class TestRunSingle:
         # A noise spec string is the CLI's; a truthy non-bool would turn timing on.
         with pytest.raises(ValueError, match=f"^{field} must be a"):
             ExperimentConfig(epsilon=0.3, **{field: value})
+
+    @pytest.mark.parametrize("field", ["epsilon", "delta", "scale_m", "scale_b"])
+    @pytest.mark.parametrize("value", ["0.05", True, None, pytest.param(10**400, id="1e400")])
+    def test_config_refuses_a_non_number_real_field(self, field, value):
+        # By the field's name, not by a bare TypeError from a comparison.
+        with pytest.raises(ValueError, match=f"^{field} (must be a real number|is beyond the float range)"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("n_samples", 1.5), ("n_samples", "5"), ("n_samples", True),
+                                             ("seed", 1.5), ("seed", "0")])
+    def test_run_suite_refuses_a_non_integer_by_name(self, field, value):
+        # By the argument's name, not by numpy's IndexError or a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_suite(**{field: value})
 
     def test_config_takes_numpy_integers(self):
         config = small_config(d=np.int64(5), trials=np.int64(1), master_seed=np.int64(11))
@@ -439,9 +459,9 @@ class TestCli:
     def test_band_floor_covers_init_branch_runs(self):
         # At epsilon = 0.4 the branch runs' target 1/16 takes more epochs
         # than the main run, so only their thinnest band is below the floor.
-        bench.check_bands(small_config(d=10, epsilon=0.4, scale_b=2e-10))
+        band_preflight(small_config(d=10, epsilon=0.4, scale_b=2e-10))
         with pytest.raises(ValueError, match="below the floor"):
-            bench.check_bands(small_config(mode="init", d=10, epsilon=0.4, scale_b=2e-10))
+            band_preflight(small_config(mode="init", d=10, epsilon=0.4, scale_b=2e-10))
 
     def test_overflowing_sweep_dimension_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

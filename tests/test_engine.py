@@ -136,7 +136,7 @@ def replay(model, seed, w0, schedule, charge_rejected, d=D):
 def test_engine_matches_reference_loop(monkeypatch, model, width, charge_rejected):
     monkeypatch.setattr(learner, "TAPE_STEPS", REPLAY_STEPS)
     _, w0, _ = fresh(model, 3)
-    replay(model, 3, w0, Schedule(0.5, (80,), (WIDTHS[width],)), charge_rejected)
+    replay(model, 3, w0, Schedule(D, 0.5, (80,), (WIDTHS[width],)), charge_rejected)
 
 
 @pytest.mark.parametrize("charge_rejected", [False, True], ids=["active", "passive"])
@@ -146,7 +146,7 @@ def test_run_matches_reference_loop_across_epochs(monkeypatch, model, charge_rej
     # rest of w's direction is drawn once, at the end of the run.
     monkeypatch.setattr(learner, "TAPE_STEPS", REPLAY_STEPS)
     _, w0, _ = fresh(model, 3)
-    replay(model, 3, w0, Schedule(0.125, (80,) * 3, REPLAY_WIDTHS), charge_rejected)
+    replay(model, 3, w0, Schedule(D, 0.125, (80,) * 3, REPLAY_WIDTHS), charge_rejected)
 
 
 DEGENERATE_STARTS = {
@@ -166,7 +166,7 @@ def test_degenerate_starts(model, start):
     d = 3 if start == "d3" else D
     target = fresh(model, 9, d)[0].target
     w0 = DEGENERATE_STARTS[start](target, np.random.default_rng(10))
-    w = replay(model, 9, w0, Schedule(0.5, (200,), (0.03,)), False, d)
+    w = replay(model, 9, w0, Schedule(d, 0.5, (200,), (0.03,)), False, d)
     oracle, _, rng = fresh(model, 9, d)
     for _ in range(3):
         before = oracle.queries
@@ -242,7 +242,7 @@ def test_engine_law_across_epochs(d):
     # the whole-vector test), of the angle after epoch 1, read off the chain,
     # and of the total draws.
     model, m, widths = NoiseModel.bounded(0.2), 30, LAW_SCHEDULES[d]
-    schedule = Schedule(0.1, (m,) * len(widths), widths)
+    schedule = Schedule(d, 0.1, (m,) * len(widths), widths)
     u, w0 = planted_pair(d, 1.0, seed=0)
     q = sample_uniform_sphere(d, np.random.default_rng(5))
     chain, literal = [], []
@@ -361,7 +361,7 @@ def test_validation_is_per_epoch_not_per_label(monkeypatch, width):
     counts = []
     for m, epochs in ((10, 1), (300, 1), (10, 5)):
         calls.clear()
-        active_perceptron(oracle, w0, Schedule(0.5, (m,) * epochs, (WIDTHS[width],) * epochs), rng)
+        active_perceptron(oracle, w0, Schedule(D, 0.5, (m,) * epochs, (WIDTHS[width],) * epochs), rng)
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] <= 5
 
@@ -418,7 +418,7 @@ def test_accounting_and_unit_iterates(d, model, b, charge_rejected, epochs, seed
     oracle = LabelingOracle(sample_uniform_sphere(d, gen), model, np.random.default_rng(seed + 1))
     v0 = sample_uniform_sphere(d, gen)
     # The chain's iterate is a vector only at the run's two ends.
-    schedule = Schedule(0.5, tuple(epochs), (b,) * len(epochs))
+    schedule = Schedule(d, 0.5, tuple(epochs), (b,) * len(epochs))
     report = active_perceptron(oracle, v0, schedule, gen, charge_rejected=charge_rejected)
     assert report.total_labels == oracle.queries
     for m, trace in zip(epochs, report.traces):

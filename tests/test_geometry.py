@@ -135,6 +135,37 @@ class TestCheckUnit:
         with pytest.raises(ValueError, match="must have unit norm"):
             geometry.check_unit(v)
 
+    @pytest.mark.parametrize("v", ["abc", [1.0, "x", 0.0], {"a": 1.0}, pytest.param([10**400, 0, 0], id="1e400")])
+    def test_non_numeric_is_refused_by_name(self, v):
+        # numpy's own conversion error named no argument.
+        with pytest.raises(ValueError, match="^v0 must be an array of real numbers"):
+            geometry.check_unit(v, "v0")
+
+
+class TestCheckDimension:
+    @pytest.mark.parametrize("d", [3, 10, np.int64(7), pytest.param(10**400, id="1e400")])
+    def test_integers_from_three_pass(self, d):
+        geometry.check_dimension(d)
+
+    @pytest.mark.parametrize("d", [2, 0, -5, 10.0, 10.5, True, np.float64(10), np.bool_(True), "10", None, math.nan])
+    def test_anything_else_is_refused_by_name(self, d):
+        with pytest.raises(DimensionMismatch, match="^dimension d must be"):
+            geometry.check_dimension(d)
+
+    def test_sample_uniform_sphere_refuses_a_non_integer(self, rng):
+        # By name, not by numpy's own TypeError from standard_normal.
+        with pytest.raises(DimensionMismatch, match="dimension d must be an integer, got 10.5"):
+            sample_uniform_sphere(10.5, rng)
+
+    def test_band_mass_refuses_a_float_before_its_cache(self):
+        # Checked before the cache is read: 10.0 is equal to 10 as a key, so
+        # a check inside the memo would serve it the d = 10 mass.
+        with pytest.raises(DimensionMismatch, match="got 17.0"):
+            band_mass(17.0, 0.1, 0.2)
+        band_mass(10, 0.1, 0.2)
+        with pytest.raises(DimensionMismatch, match="got 10.0"):
+            band_mass(10.0, 0.1, 0.2)
+
 
 class TestAngle:
     def test_identity(self):
@@ -245,6 +276,21 @@ class TestBandMass:
             assert band_mass(d, lo, hi) == pytest.approx(
                 band_mass_by_quadrature(d, lo, hi), rel=1e-11, abs=0.0
             )
+
+    # Bits of series that take several SERIES_TERMS runs: [0.0005, 0.001]
+    # takes the lower-mass path and the two others the upper-tail one. Any
+    # change to how the runs' factors are built or summed shows here.
+    @pytest.mark.parametrize("d,lower,upper,bits", [
+        (200_001, 0.0005, 0.001, "0x1.58c3da93930a9p-4"),
+        (200_002, 0.0005, 0.001, "0x1.58c40c86a57eep-4"),
+        (200_001, 0.01, 0.02, "0x1.03b944e9b7cb8p-18"),
+        (200_002, 0.01, 0.02, "0x1.03b5cabdc55f7p-18"),
+        (200_001, 0.025, 0.05, "0x1.fa25f4ca2f0dcp-96"),
+        (200_002, 0.025, 0.05, "0x1.f9fd23a0b0696p-96"),
+    ])
+    def test_multi_run_series_bits(self, d, lower, upper, bits):
+        assert (d - 3) // 2 > 3 * geometry.SERIES_TERMS
+        assert band_mass(d, lower, upper).hex() == bits
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

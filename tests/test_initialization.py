@@ -120,6 +120,17 @@ class TestAcuteInitialize:
         assert oracle.queries == expected_labels
         assert result.test_size == 33
 
+    def test_schedule_of_another_dimension_is_refused_before_any_draw(self, rng):
+        oracle = LabelingOracle(geometry.sample_uniform_sphere(8, rng), NoiseModel.realizable(),
+                                np.random.default_rng(1))
+        sampler = np.random.default_rng(2)
+        states = (oracle.rng.bit_generator.state, sampler.bit_generator.state)
+        schedule = initialization.branch_schedule(5, oracle.model, 0.1)
+        with pytest.raises(geometry.DimensionMismatch, match="schedule is for d = 5, the run is in d = 8"):
+            acute_initialize(oracle, 0.1, sampler, schedule=schedule)
+        assert oracle.queries == 0
+        assert (oracle.rng.bit_generator.state, sampler.bit_generator.state) == states
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
     def test_delta_outside_unit_interval_refused(self, rng, delta):
         oracle = LabelingOracle(

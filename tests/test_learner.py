@@ -13,7 +13,6 @@ from percband.learner import (
     THEORY_SCALE_M,
     Schedule,
     active_perceptron,
-    check_band_floor,
     make_schedule,
     mod_perceptron_params,
 )
@@ -133,31 +132,62 @@ class TestSchedule:
         with pytest.raises(ValueError):
             mod_perceptron_params(10, math.pi / 2, 0.1, 1.0, scale_m=-1.0)
         with pytest.raises(ValueError):
-            Schedule(epsilon=0.1, m=(5,), b=(0.1, 0.2))
+            Schedule(d=10, epsilon=0.1, m=(5,), b=(0.1, 0.2))
         with pytest.raises(ValueError):
-            Schedule(epsilon=0.1, m=(0,), b=(0.1,))
+            Schedule(d=10, epsilon=0.1, m=(0,), b=(0.1,))
+
+    @pytest.mark.parametrize("m,b", [([5], [0.1]), (5, 0.1), (None, (0.1,)), ((5,), "0.1")])
+    def test_arrays_that_are_not_tuples_refused(self, m, b):
+        # Lists would leave the frozen schedule unhashable, and a number
+        # would fail in len() with a bare TypeError.
+        with pytest.raises(ValueError, match="m and b must be tuples"):
+            Schedule(d=10, epsilon=0.3, m=m, b=b)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, True, "3", None])
     def test_non_integer_iteration_count_refused(self, m):
         # Refused when the schedule is built, not inside range() in the run.
         with pytest.raises(ValueError, match="every m_k must be an integer"):
-            Schedule(epsilon=0.3, m=(5, m), b=(0.1, 0.05))
+            Schedule(d=10, epsilon=0.3, m=(5, m), b=(0.1, 0.05))
 
     def test_numpy_integer_iteration_count_accepted(self):
-        assert Schedule(epsilon=0.3, m=(np.int64(5),), b=(0.1,)).epochs == 1
+        assert Schedule(d=10, epsilon=0.3, m=(np.int64(5),), b=(0.1,)).epochs == 1
+
+    @pytest.mark.parametrize("d", [2, 10.5, True, None])
+    def test_bad_dimension_refused(self, d):
+        with pytest.raises(DimensionMismatch, match="dimension d must be"):
+            Schedule(d=d, epsilon=0.3, m=(5,), b=(0.1,))
+
+    @pytest.mark.parametrize("b", [True, "0.1", None])
+    def test_non_number_band_width_refused(self, b):
+        with pytest.raises(ValueError, match="every b_k must be a real number"):
+            Schedule(d=10, epsilon=0.3, m=(5, 5), b=(0.1, b))
+
+    @pytest.mark.parametrize("epsilon", ["0.1", True, None])
+    def test_non_number_epsilon_refused(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon must be a real number"):
+            Schedule(d=10, epsilon=epsilon, m=(5,), b=(0.1,))
+
+    def test_band_masses_are_in_the_schedules_dimension(self):
+        sched = make_schedule(100, 0.05, 0.1, NoiseModel.realizable())
+        assert sched.d == 100
+        assert sched.band_masses() == tuple(geometry.band_mass(100, b / 2.0, b) for b in sched.b)
+
+    def test_make_schedule_refuses_a_non_model(self):
+        with pytest.raises(ValueError, match="^model must be a NoiseModel"):
+            make_schedule(10, 0.1, 0.1, "bounded:0.2")
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_epsilon_outside_unit_interval_refused(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
-            Schedule(epsilon=epsilon, m=(5,), b=(0.1,))
+            Schedule(d=10, epsilon=epsilon, m=(5,), b=(0.1,))
 
     def test_epsilon_floor(self):
         # The band-mass floor is the only limit on epsilon: at d = 10 the
         # default constants clear it at 1e-9 and not at 1e-10.
         assert make_schedule(10, 1e-7, 0.1, NoiseModel.realizable()).epochs == 24
-        check_band_floor(10, make_schedule(10, 1e-9, 0.1, NoiseModel.realizable()))
+        make_schedule(10, 1e-9, 0.1, NoiseModel.realizable()).band_masses()
         with pytest.raises(ValueError, match="below the floor"):
-            check_band_floor(10, make_schedule(10, 1e-10, 0.1, NoiseModel.realizable()))
+            make_schedule(10, 1e-10, 0.1, NoiseModel.realizable()).band_masses()
         # An epsilon too small for the angles pi / 2^k to stay normal floats
         # is refused by the schedule it would build, not by an overflow.
         with pytest.raises(ValueError, match="b_k"):
@@ -180,8 +210,8 @@ class TestSchedule:
         # Building the schedule computes no band mass; the check does.
         sched = make_schedule(100, 1e-7, 0.1, NoiseModel.realizable(), scale_b=THEORY_SCALE_B)
         with pytest.raises(ValueError, match="below the floor"):
-            check_band_floor(100, sched)
-        check_band_floor(100, make_schedule(100, 1e-7, 0.1, NoiseModel.realizable()))
+            sched.band_masses()
+        make_schedule(100, 1e-7, 0.1, NoiseModel.realizable()).band_masses()
 
     def test_degenerate_iteration_counts_are_refused(self):
         with pytest.raises(ValueError, match="scale_m = 1e-300"):
@@ -192,6 +222,12 @@ class TestSchedule:
             mod_perceptron_params(10**400, math.pi / 2, 0.1, 1.0)
         with pytest.raises(ValueError, match="overflows"):
             mod_perceptron_params(int(1e300), math.pi / 2, 0.1, 1.0)
+
+    @pytest.mark.parametrize("d", [10.5, 10.0, True, "10"])
+    def test_non_integer_dimension_is_refused(self, d):
+        # A stage, such as (254, 0.0115) at 10.5, has no meaning off the integers.
+        with pytest.raises(DimensionMismatch, match="dimension d must be an integer"):
+            mod_perceptron_params(d, 1.0, 0.1, 1.0)
 
     @pytest.mark.parametrize("d", [0, -3, 2])
     def test_dimension_below_three_is_refused(self, d):
@@ -235,7 +271,20 @@ class TestModPerceptron:
         w0, sampler = sample_uniform_sphere(5, rng), np.random.default_rng(2)
         states = (oracle.rng.bit_generator.state, sampler.bit_generator.state)
         with pytest.raises(ValueError, match="below the floor"):
-            active_perceptron(oracle, w0, Schedule(0.5, (50, 50), (0.1, 1e-300)), sampler)
+            active_perceptron(oracle, w0, Schedule(5, 0.5, (50, 50), (0.1, 1e-300)), sampler)
+        assert oracle.queries == 0
+        assert (oracle.rng.bit_generator.state, sampler.bit_generator.state) == states
+
+    def test_schedule_of_another_dimension_is_refused_before_any_draw(self, rng):
+        # A d = 10 schedule on a d = 100 oracle would charge the d = 10
+        # label count and fail without an error.
+        oracle = LabelingOracle(sample_uniform_sphere(100, rng), NoiseModel.bounded(0.2),
+                                np.random.default_rng(1))
+        w0, sampler = sample_uniform_sphere(100, rng), np.random.default_rng(2)
+        states = (oracle.rng.bit_generator.state, sampler.bit_generator.state)
+        schedule = make_schedule(10, 0.1, 0.1, oracle.model)
+        with pytest.raises(DimensionMismatch, match="schedule is for d = 10, the run is in d = 100"):
+            active_perceptron(oracle, w0, schedule, sampler)
         assert oracle.queries == 0
         assert (oracle.rng.bit_generator.state, sampler.bit_generator.state) == states
 
@@ -332,7 +381,7 @@ class TestActivePerceptron:
         # Before any draw: the run would report NaN angles and failure.
         oracle = LabelingOracle(unit([1.0, 0.0, 0.0]), NoiseModel.realizable(), np.random.default_rng(0))
         with pytest.raises(ValueError, match="v0 must have unit norm"):
-            active_perceptron(oracle, np.full(3, math.nan), Schedule(0.5, (5,), (0.1,)),
+            active_perceptron(oracle, np.full(3, math.nan), Schedule(3, 0.5, (5,), (0.1,)),
                               np.random.default_rng(1))
         assert oracle.queries == 0
 
