@@ -70,18 +70,20 @@ def check_real(value, name: str) -> None:
 
 
 def check_unit(v, name: str = "vector") -> np.ndarray:
-    """Validate and return ``v`` as a unit-norm 1-D float64 array."""
+    """Validate and return ``v``, an array of integers or floats, as a unit-norm 1-D float64 array."""
     try:
-        arr = np.asarray(v, dtype=np.float64)
+        arr = np.asarray(v)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be an array of real numbers, got {v!r}") from None
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers, got {v!r}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.shape[0] < MIN_DIMENSION:
-        raise DimensionMismatch(
-            f"{name} must have dimension >= {MIN_DIMENSION}, got {arr.shape[0]}"
-        )
-    norm = math.sqrt(arr.dot(arr))
+        raise DimensionMismatch(f"{name} must have dimension >= {MIN_DIMENSION}, got {arr.shape[0]}")
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(arr.dot(arr))
     if not abs(norm - 1.0) <= UNIT_NORM_ATOL:
         raise ValueError(f"{name} must have unit norm, got {norm!r}")
     return arr

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .oracles import LabelingOracle, NoiseModel
+from .oracles import LabelingOracle, NoiseModel, negative_labels
 
 THEORY_SCALE_M = (3200.0 * math.pi) ** 3
 THEORY_SCALE_B = 1.0 / (2.0 * (600.0 * math.pi) ** 2)
@@ -252,14 +252,14 @@ def _start_chain(target, w0) -> tuple[np.ndarray, tuple[float, float, float]]:
     return e, (a / norm, b / norm, 0.0)
 
 
-def _chunk_rows(a, pa, tape, coins):
+def _chunk_rows(a, pa, tape, coins, radius):
     """The rows of a tape chunk that the chain visits from (a, pa), as
     (xi, s tau1, s tau2, coin) with s = sqrt(1 - xi^2).
 
     When no coin of the chunk is set, a >= 0 and 2^-500 <= pa <= 2^500,
-    only the rows that fire from (a, pa) are kept, those where
-    not (xi a + pa s tau1 >= 0): no other row can fire later in the chunk.
-    This is exact, bit for bit:
+    only the rows that fire from (a, pa) are kept, those whose label at
+    tx = xi a + pa s tau1 is -1 by :func:`oracles.negative_labels`: no other
+    row can fire later in the chunk. This is exact, bit for bit:
 
     - with no coin set a row fires iff tx = xi a + pa s tau1 is not >= 0,
       so at a fire tx < 0, step = 2 xi tx <= 0 (margins are positive) and
@@ -278,7 +278,7 @@ def _chunk_rows(a, pa, tape, coins):
     s = np.sqrt((1.0 - margins) * (1.0 + margins))
     st1 = s * tape.tau1
     if not coins.any() and a >= 0.0 and 2.0**-500 <= pa <= 2.0**500:
-        keep = ~(margins * a + pa * st1 >= 0.0)
+        keep = negative_labels(margins * a + pa * st1, coins, radius)
         margins, s, st1, tau2, coins = margins[keep], s[keep], st1[keep], tau2[keep], coins[keep]
     return zip(margins.tolist(), st1.tolist(), (s * tau2).tolist(), coins.tolist())
 
@@ -292,9 +292,11 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
     u1 = (t - a w) / pa and u2 = (c e - b z) / pa (pa = sin(angle(w, t)) =
     |(b, c)|, z the direction of the rest of w) are the tape's (tau1, tau2).
     Then t . x = xi a + s pa tau1 and e . x = xi b + s (c tau2 - a b tau1) / pa.
-    When pa = 0 (w = +-t), u1 = e and e . x = xi b + s tau1. A step that
-    does not fire changes nothing, so the loop visits only the rows of
-    :func:`_chunk_rows`, which leaves out only rows that cannot fire.
+    When pa = 0 (w = +-t), u1 = e and e . x = xi b + s tau1. A step fires iff
+    its label is -1 by :func:`oracles.negative_labels`, written inline: a call
+    costs more than a step. A step that does not fire changes nothing, so the
+    loop visits only the rows of :func:`_chunk_rows`, which leaves out only
+    rows that cannot fire.
 
     pa is carried, not recomputed from a: a fire that moves a by step sets
     pa^2 = 1 - (a - step)^2 = pa^2 + step (2 a - step) and c^2 = pa^2 - b^2,
@@ -305,7 +307,7 @@ def _run_chain(chain, tape, coins, radius) -> tuple[float, float, float]:
     sqrt = math.sqrt
     a, b, c = chain
     pa = math.hypot(b, c)
-    for xi, st1, st2, coin in _chunk_rows(a, pa, tape, coins):
+    for xi, st1, st2, coin in _chunk_rows(a, pa, tape, coins, radius):
         tx = xi * a + pa * st1
         if (tx >= 0.0) == (coin and abs(tx) <= radius):
             ex = xi * b + ((c * st2 - a * b * st1) / pa if pa > 0.0 else st1)

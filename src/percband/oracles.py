@@ -10,8 +10,8 @@ unit vector u, with sign(0) := +1. Three corruption regimes are supported:
   exactly on the slab |u . x| <= tau, with tau chosen so the corrupted mass
   equals nu. Total disagreement with sign(u . x) is then exactly nu.
 
-Every regime is one law: a label flips iff its coin from :func:`flip_coins`
-is set and |u . x| is at most :func:`flip_radius`.
+Every regime is one law, :func:`negative_labels`: a label flips iff its
+coin from :func:`flip_coins` is set and |u . x| is at most :func:`flip_radius`.
 """
 
 from __future__ import annotations
@@ -115,6 +115,12 @@ def flip_radius(model: NoiseModel, d: int) -> float:
     return math.inf
 
 
+def negative_labels(dots, coins, radius) -> np.ndarray:
+    """Which labels are -1 at margins u . x = ``dots``: sign(u . x) with sign(0) = +1,
+    flipped where the coin is set and |u . x| <= radius (a NaN margin reads -1)."""
+    return (dots >= 0.0) == (coins & (np.abs(dots) <= radius))
+
+
 class LabelingOracle:
     """Labeling oracle for a hidden target halfspace, counting every query.
 
@@ -153,8 +159,7 @@ class LabelingOracle:
     def _labels(self, dots) -> np.ndarray:
         """Labels of points whose margins u . x are ``dots``, drawing their coins."""
         coins = flip_coins(self.model, self.rng, dots.size).reshape(dots.shape)
-        clean = np.where(dots >= 0.0, 1, -1).astype(np.int8)
-        return np.where(coins & (np.abs(dots) <= self._radius), -clean, clean)
+        return np.where(negative_labels(dots, coins, self._radius), np.int8(-1), np.int8(1))
 
     def flip_tape(self, n: int) -> tuple[np.ndarray, float]:
         """Corruption coins for the next n labels and the radius they act within.

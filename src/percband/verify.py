@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .learner import mod_perceptron_params
-from .oracles import NoiseModel, flip_coins, flip_radius
+from .oracles import NoiseModel, flip_coins, flip_radius, negative_labels
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,8 @@ def _progress_chunks(
     sqrt(1 - xi^2) sin(theta_t) t, with t the orthogonal-sphere marginal),
     labels it by the noise law, and yields the exact change of cos(angle)
     the reflection update would produce: -2 * 1{y (w.x) < 0} (w.x)(u.x).
-    The margin w.x = xi is positive, so the update fires iff the label is -1:
-    iff (u.x >= 0) equals the flip, as in ``learner._run_chain``.
+    The margin w.x = xi is positive, so the update fires iff the label is -1
+    by ``oracles.negative_labels``, as in ``learner._run_chain``.
     Each chunk draws its angles, its margins, its orthogonal-sphere
     coordinates, then its label coins.
     """
@@ -252,8 +252,8 @@ def _progress_chunks(
         xi = geometry.sample_margins(d, b / 2.0, b, rng, n=count)
         t = geometry.sphere_coordinates(d - 1, 1, rng, count)[0]
         u_dot_x = xi * np.cos(theta_t) + np.sqrt(1.0 - xi * xi) * np.sin(theta_t) * t
-        flips = flip_coins(model, rng, count) & (np.abs(u_dot_x) <= radius)
-        yield np.where((u_dot_x >= 0.0) == flips, -2.0 * xi * u_dot_x, 0.0)
+        fires = negative_labels(u_dot_x, flip_coins(model, rng, count), radius)
+        yield np.where(fires, -2.0 * xi * u_dot_x, 0.0)
 
 
 def check_progress_measure(

@@ -3,12 +3,14 @@
 Each public constructor and entry point gets one argument from a hostile
 pool and valid values for the others: the call returns, or raises a
 ValueError (DimensionMismatch included) whose message names the argument.
-The CLI gets argv drawn from ``cli.SETTINGS``: it exits 0, 1 or 2, a usage
-error prints exactly one ``error:`` line, and nothing prints a traceback.
+The CLI gets argv, or a config file, drawn from ``cli.SETTINGS``: it exits
+0, 1 or 2, a usage error prints exactly one ``error:`` line, and nothing
+prints a traceback.
 """
 
 import contextlib
 import io
+import json
 import math
 import re
 
@@ -34,7 +36,7 @@ HOSTILE = st.one_of(
 )
 
 # (callable, valid arguments, the name a message must use for each argument).
-# A tuple argument takes the hostile value whole or as its last entry.
+# A tuple argument takes the hostile value whole, or as its first or last entry.
 CASES = [
     (NoiseModel, dict(kind="bounded", param=0.2), dict(kind="kind", param="eta")),
     (NoiseModel, dict(kind="adversarial", param=0.01), dict(param="nu")),
@@ -62,7 +64,9 @@ def test_library_returns_or_refuses_by_name(case, data):
         # A valid sample count runs the suite: keep it small.
         assume(not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 10))
     valid = base.get(arg)
-    given_value = valid[:-1] + (value,) if isinstance(valid, tuple) and data.draw(st.booleans()) else value
+    given_value = value
+    if isinstance(valid, tuple):
+        given_value = data.draw(st.sampled_from([value, (value,) + valid[1:], valid[:-1] + (value,)]))
     try:
         fn(**{**base, arg: given_value})
     except ValueError as exc:
@@ -108,6 +112,40 @@ def test_cli_exits_0_1_or_2_without_a_traceback(tmp_path_factory, data):
         argv.append(data.draw(st.sampled_from(tokens)))
     if bad is None:
         argv += data.draw(st.sampled_from([[]] * 4 + [["--bogus"], ["--d"]]))
+    assert_exits_0_1_or_2_without_a_traceback(argv)
+
+
+# Config-file values of every type: JSON null, bools, huge integers, NaN,
+# lists, objects and bad spec strings.
+FILE_HOSTILE = [None, True, False, 10**30, -(10**400), math.nan, -1, 0, 2.5, [], [3], {}, {"d": 3},
+                "x", "", "bounded:0.6", "d=", "epsilon=0.5,,0.2", "d=2.5"]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_cli_config_files_exit_0_1_or_2_without_a_traceback(tmp_path_factory, data):
+    # A file of one to four settings, each valid or hostile; the step and
+    # sample counts the command reads are small flags, which override it.
+    tmp = tmp_path_factory.getbasetemp()
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+    fields = {}
+    for name in data.draw(st.lists(st.sampled_from(sorted(cli.SETTINGS)), min_size=1, max_size=4, unique=True)):
+        kind = cli.SETTINGS[name][0]
+        if name == "out":
+            values = [str(tmp / "out.csv"), str(tmp), str(tmp / "missing" / "out.csv"), "", None, True, 3, []]
+        else:
+            values = ([True] if kind is bool else [kind(token) for token in VALID[name]]) + FILE_HOSTILE
+        fields[name] = data.draw(st.sampled_from(values))
+    path = tmp / "config.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    for name in ("max_steps", "samples"):
+        if command in cli.SETTINGS[name][1]:
+            argv += ["--" + name.replace("_", "-"), data.draw(st.sampled_from(VALID[name]))]
+    assert_exits_0_1_or_2_without_a_traceback(argv)
+
+
+def assert_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

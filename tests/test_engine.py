@@ -24,7 +24,7 @@ from percband import geometry, learner
 from percband.bench import ExperimentConfig, run_trials, write_csv
 from percband.geometry import Band, band_mass, rejection_sample_band, sample_uniform_sphere
 from percband.learner import Schedule, active_perceptron
-from percband.oracles import LabelingOracle, NoiseModel, flip_coins, flip_radius
+from percband.oracles import LabelingOracle, NoiseModel, flip_coins, flip_radius, negative_labels
 
 from conftest import lift, one_epoch, planted_pair, traced_peak_bytes, unit_orthogonal
 from reference import modified_perceptron_step
@@ -524,10 +524,10 @@ def test_chain_clamps_states_that_round_off_the_circle(model):
     assert any(clamped)
 
 
-def visited(chain, tape, coins):
+def visited(chain, tape, coins, radius):
     """The margins of the rows of a chunk that the chain visits from ``chain``."""
     a, b, c = chain
-    return [row[0] for row in learner._chunk_rows(a, math.hypot(b, c), tape, coins)]
+    return [row[0] for row in learner._chunk_rows(a, math.hypot(b, c), tape, coins, radius)]
 
 
 def rows(tape, coins, lo, hi):
@@ -556,7 +556,7 @@ def test_rows_a_realizable_chunk_skips_cannot_fire(start, a, d, width, n, planar
     chain = CHAIN_STARTS[start](a)
     tape, coins, radius = chain_inputs(NoiseModel.realizable(), d, width, n, seed, planar)
     tape = tape._replace(tau1=np.where(np.arange(n) % 5 == 0, 0.0, tape.tau1))
-    margins, kept = tape.margins.tolist(), visited(chain, tape, coins)
+    margins, kept = tape.margins.tolist(), visited(chain, tape, coins, radius)
     states = [bits(reference_run_chain(chain, *rows(tape, coins, 0, k), radius)) for k in range(n + 1)]
     fire = [bits(reference_run_chain(chain, *rows(tape, coins, k, k + 1), radius)) != states[0]
             for k in range(n)]
@@ -589,5 +589,38 @@ UNSKIPPED = {
 def test_chunks_that_visit_every_row(case):
     model, chain = UNSKIPPED[case]
     tape, coins, radius = chain_inputs(model, D, 0.03, 300, 23, planar=False)
-    assert visited(chain, tape, coins) == tape.margins.tolist()
+    assert visited(chain, tape, coins, radius) == tape.margins.tolist()
     assert bits(learner._run_chain(chain, tape, coins, radius)) == bits(reference_run_chain(chain, tape, coins, radius))
+
+
+# Acute and obtuse starts, on and off the plane of t and e. At a = +-0 the
+# first four rows, with tau1 = +-0, have t . x = +0.0 or -0.0.
+EDGE_STARTS = [(0.0, 1.0, 0.0), (-0.0, -1.0, 0.0), (0.6, 0.8, 0.0), (-0.6, 0.8, 0.0), (0.6, -0.48, 0.64)]
+
+
+def test_chain_fires_iff_the_label_law_reads_minus_one():
+    # One-row chains at radius |t . x| and at the float just below it, with
+    # the coin set and unset: the state moves iff negative_labels reads -1
+    # at the row's t . x. Rows with e . x near 0 are left out, so that a
+    # fire always moves b.
+    gen = np.random.default_rng(31)
+    tape = geometry.draw_band_tape(D, 0.015, 0.03, band_mass(D, 0.015, 0.03), gen, 40)
+    tape = tape._replace(tau1=np.concatenate([[0.0, -0.0, 0.0, -0.0], tape.tau1[4:]]))
+    s = np.sqrt((1.0 - tape.margins) * (1.0 + tape.margins))
+    checked = 0
+    for chain in EDGE_STARTS:
+        a, b, c = chain
+        pa = math.hypot(b, c)
+        for k, (xi, st1, st2) in enumerate(zip(tape.margins.tolist(), (s * tape.tau1).tolist(),
+                                                (s * tape.tau2).tolist())):
+            tx, ex = xi * a + pa * st1, xi * b + (c * st2 - a * b * st1) / pa
+            if abs(ex) < 1e-6:
+                continue
+            row = geometry.BandTape(*(column[k:k + 1] for column in tape))
+            for coin in (False, True):
+                for radius in (abs(tx), math.nextafter(abs(tx), -math.inf)):
+                    coins = np.array([coin])
+                    moved = learner._run_chain(chain, row, coins, radius) != chain
+                    assert moved == negative_labels(np.array([tx]), coins, radius)[0], (chain, k, coin, radius)
+                    checked += 1
+    assert checked >= 4 * 150

@@ -135,11 +135,33 @@ class TestCheckUnit:
         with pytest.raises(ValueError, match="must have unit norm"):
             geometry.check_unit(v)
 
-    @pytest.mark.parametrize("v", ["abc", [1.0, "x", 0.0], {"a": 1.0}, pytest.param([10**400, 0, 0], id="1e400")])
+    @pytest.mark.parametrize("v", [[1e200, 0.0, 0.0], [2.0**512, 0.0, 0.0, 0.0]])
+    def test_a_norm_past_the_float_range_is_refused_without_a_warning(self, v):
+        # The squared norm overflows to inf, which is not 1.
+        with pytest.raises(ValueError, match="must have unit norm, got inf"):
+            geometry.check_unit(v)
+
+    @pytest.mark.parametrize("v", [
+        "abc", [1.0, "x", 0.0], {"a": 1.0}, pytest.param([10**400, 0, 0], id="1e400"),
+        # numpy converts each of these to [1, 0, 0].
+        pytest.param(["1", 0, 0], id="str_list"),
+        pytest.param([True, False, False], id="bool_list"),
+        pytest.param(np.array(["1", "0", "0"]), id="str_array"),
+        pytest.param(np.array([1.0, 0.0, 0.0], dtype=object), id="object_array"),
+        pytest.param(np.array([True, False, False]), id="bool_array"),
+        pytest.param(np.array([1 + 0j, 0, 0]), id="complex_array"),
+    ])
     def test_non_numeric_is_refused_by_name(self, v):
         # numpy's own conversion error named no argument.
         with pytest.raises(ValueError, match="^v0 must be an array of real numbers"):
             geometry.check_unit(v, "v0")
+
+    @pytest.mark.parametrize("v", [[1, 0, 0], np.array([0, 1, 0], dtype=np.uint8), np.array([0, 0, 1], dtype=np.float32),
+                                   [True, 0.0, 0.0]], ids=["int_list", "uint8_array", "float32_array", "bool_among_floats"])
+    def test_integers_and_floats_pass_as_float64(self, v):
+        # A bool among floats is converted by numpy before the check sees it.
+        arr = geometry.check_unit(v)
+        assert arr.dtype == np.float64 and sorted(arr.tolist()) == [0.0, 0.0, 1.0]
 
 
 class TestCheckDimension:

@@ -6,7 +6,7 @@ from scipy import special
 
 from percband import geometry
 from percband.geometry import DimensionMismatch, sample_uniform_sphere
-from percband.oracles import LabelingOracle, NoiseModel, adversarial_threshold
+from percband.oracles import LabelingOracle, NoiseModel, adversarial_threshold, negative_labels
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -17,6 +17,35 @@ def make_oracle(model, d=10, seed=0, target=None):
     if target is None:
         target = sample_uniform_sphere(d, gen)
     return LabelingOracle(target, model, gen)
+
+
+TAU = adversarial_threshold(10, 0.05)
+# The edges of the label law: each margin u . x with its clean label and
+# whether |u . x| <= radius at radius TAU and at radius inf.
+LAW_EDGES = [
+    (0.0, +1, True, True),
+    (-0.0, +1, True, True),
+    (TAU, +1, True, True),
+    (-TAU, -1, True, True),
+    (math.nextafter(TAU, math.inf), +1, False, True),
+    (-math.nextafter(TAU, math.inf), -1, False, True),
+    (math.nan, -1, False, False),
+    (math.inf, +1, False, True),
+    (-math.inf, -1, False, True),
+]
+
+
+class TestNegativeLabels:
+    @pytest.mark.parametrize("radius", [TAU, math.inf], ids=["tau", "inf"])
+    @pytest.mark.parametrize("coin", [False, True])
+    def test_edges(self, radius, coin):
+        # A label is -1 iff its clean label is -1, unless the coin is set
+        # and |u . x| <= radius, which flips it. Arrays and scalars agree.
+        dots = np.array([row[0] for row in LAW_EDGES])
+        want = [(clean < 0) != (coin and (in_tau if radius == TAU else in_inf))
+                for _, clean, in_tau, in_inf in LAW_EDGES]
+        assert negative_labels(dots, np.full(dots.size, coin), radius).tolist() == want
+        assert [bool(negative_labels(dot, np.bool_(coin), radius)) for dot in dots] == want
 
 
 class TestNoiseModel:
@@ -163,6 +192,10 @@ class TestValidation:
     def test_nan_target_rejected(self):
         with pytest.raises(ValueError, match="target must have unit norm"):
             LabelingOracle(np.full(4, math.nan), NoiseModel.realizable(), np.random.default_rng(0))
+
+    def test_bool_target_refused(self):
+        with pytest.raises(ValueError, match="^target must be an array of real numbers"):
+            LabelingOracle([True, False, False], NoiseModel.realizable(), np.random.default_rng(0))
 
     def test_negative_zero_level_is_zero(self):
         # -0 is the model of level 0 and is kept as +0.0, so rows print 0.

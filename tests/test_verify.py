@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from percband import bench, geometry, verify
+from percband import bench, geometry, learner, verify
 from percband.learner import mod_perceptron_params
-from percband.oracles import NoiseModel
+from percband.oracles import NoiseModel, flip_coins, flip_radius
 from percband.verify import (
     all_passed,
     check_band_mass_bound,
@@ -214,6 +214,40 @@ class TestProgressMeasureCheck:
         assert positive.statistic == pytest.approx(deltas.mean(), rel=1e-12, abs=0.0)
         assert positive.margin == pytest.approx(3.0 * deltas.std() / math.sqrt(n), rel=1e-12, abs=0.0)
         assert coarse.statistic == np.max(np.abs(deltas))
+
+    @pytest.mark.parametrize(
+        "model",
+        [NoiseModel.realizable(), NoiseModel.bounded(0.3), NoiseModel.adversarial(math.pi / 800.0)],
+        ids=lambda m: m.kind,
+    )
+    def test_steps_replay_through_the_engine(self, model):
+        # The check's lanes, redrawn from its seed chunk by chunk in its
+        # order (angles, margins, t, coins), each run through the engine
+        # from (cos theta_t, sin theta_t, 0) on the one-row tape
+        # (xi, tau1 = t, tau2 = 0) with the lane's coin: the same lanes
+        # fire, and the engine's change of a is the check's increment.
+        theta, d, n = math.pi / 4, 10, 20_000
+        _, b = mod_perceptron_params(d, theta, 0.1, model.zeta)
+        radius = flip_radius(model, d)
+        rng = np.random.default_rng(11)
+        fires, flipped, worst = 0, 0, 0.0
+        for deltas in verify._progress_chunks(model, d, theta, b, n, np.random.default_rng(11)):
+            count = deltas.size
+            theta_t = rng.uniform(theta / 4.0, 5.0 * theta / 3.0, size=count)
+            xi = geometry.sample_margins(d, b / 2.0, b, rng, n=count)
+            t = geometry.sphere_coordinates(d - 1, 1, rng, count)[0]
+            coins = flip_coins(model, rng, count)
+            starts = zip(np.cos(theta_t).tolist(), np.sin(theta_t).tolist())
+            for k, (a, pa) in enumerate(starts):
+                row = geometry.BandTape(np.ones(1, dtype=np.int64), xi[k:k + 1], t[k:k + 1], np.zeros(1))
+                end = learner._run_chain((a, pa, 0.0), row, coins[k:k + 1], radius)
+                moved = end != (a, pa, 0.0)
+                assert moved == (deltas[k] != 0.0), (k, a, xi[k], t[k], coins[k])
+                worst = max(worst, abs((end[0] - a) - deltas[k]))
+                fires += moved
+                flipped += moved and deltas[k] < 0.0
+        assert worst <= 1e-15
+        assert fires > 0 and (flipped > 0) == (model.kind != "realizable")
 
     def test_bounded_positive_but_smaller(self, rng):
         # At a fixed band width the drift scales like (1 - 2 eta).
