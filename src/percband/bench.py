@@ -226,9 +226,8 @@ def write_verify_csv(path: str, results: list[verify.CheckResult]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(VERIFY_CSV_HEADER + "\n")
         for r in results:
-            status = "skip" if r.skipped else ("1" if r.passed else "0")
             detail = r.detail.replace(",", ";")
             fh.write(
-                f"{r.name},{status},{_fmt(r.statistic)},{_fmt(r.bound)},"
+                f"{r.name},{int(r.passed)},{_fmt(r.statistic)},{_fmt(r.bound)},"
                 f"{_fmt(r.margin)},{detail}\n"
             )

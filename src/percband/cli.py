@@ -14,7 +14,8 @@ the code that reads it. Exit status is 0 iff everything executed passed its
 gate (for verify: every check); a bad flag or config-file value is a usage
 error with exit status 2, and so is a call whose trials take more than
 ``--max-steps`` Perceptron steps in all (every trial of every sweep value,
-counted from the schedules before the first trial). Unlabeled draws are not
+counted from the schedules before the first trial), or a verify call with
+more than ``MAX_SAMPLES`` samples per check. Unlabeled draws are not
 counted: a step draws its count of them as one geometric number, so they
 cost no work.
 """
@@ -44,6 +45,9 @@ from .verify import all_passed, run_suite
 # Perceptron steps of a whole call (all its trials) above which it is
 # refused: about ten minutes at ~0.6 us per step on a 2-core x86 machine.
 MAX_STEPS = 1e9
+# Monte Carlo samples per verify check above which a call is refused: about
+# eight minutes at ~0.45 s per 10^6 samples on the same machine.
+MAX_SAMPLES = 10**9
 
 COMMANDS = {
     "run": "seeded trials at one configuration",
@@ -74,7 +78,7 @@ SETTINGS = {
     "timing": (bool, _TRIALS,
                "record wall time per row (off by default: timed rows are not byte-reproducible)"),
     "sweep": (str, ("sweep",), "axis=v1,v2,... with axis in " + " | ".join(SWEEP_AXES)),
-    "samples": (int, ("verify",), "Monte Carlo sample count per check"),
+    "samples": (int, ("verify",), f"Monte Carlo sample count per check (at most {MAX_SAMPLES:,})"),
 }
 # The ExperimentConfig fields named apart from their settings, and the
 # run_suite argument of each setting verify reads.
@@ -214,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         if "out" in settings:
             _check_out(settings["out"])
         if args.command == "verify":
+            if settings.get("samples", 0) > MAX_SAMPLES:
+                raise ValueError(f"--samples {settings['samples']} is more than the limit {MAX_SAMPLES:,}")
             # Inside the try: the suite refuses n_samples < 1 before it draws.
             results = run_suite(**{_SUITE_ARGS[k]: v for k, v in settings.items() if k in _SUITE_ARGS})
         else:
@@ -240,9 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             write_verify_csv(settings["out"], results)
         for r in results:
             print(r.line())
-        checks = [r for r in results if not r.skipped]
-        print(f"verify: {sum(r.passed for r in checks)}/{len(checks)} checks passed, "
-              f"{len(results) - len(checks)} skipped")
+        print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
         return 0 if all_passed(results) else 1
 
     rows = run_trials(configs, jobs)

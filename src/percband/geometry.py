@@ -82,8 +82,8 @@ def check_unit(v, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.shape[0] < MIN_DIMENSION:
         raise DimensionMismatch(f"{name} must have dimension >= {MIN_DIMENSION}, got {arr.shape[0]}")
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(arr.dot(arr))
+    # vdot overflows to inf without the RuntimeWarning of dot, @ and norm.
+    norm = math.sqrt(np.vdot(arr, arr))
     if not abs(norm - 1.0) <= UNIT_NORM_ATOL:
         raise ValueError(f"{name} must have unit norm, got {norm!r}")
     return arr
@@ -168,8 +168,9 @@ def band_mass(d: int, lower: float, upper: float) -> float:
     """P[lower <= x1 <= upper] for x uniform on the sphere in R^d, in closed form.
 
     Memoized: the CLI's preflight and every run of a configuration ask for
-    the same bands, one per epoch. d is checked before the cache is read,
-    so 10.0, equal to 10 as a key, is refused and not served the d = 10 mass.
+    the same bands, one per epoch. Every argument is checked before the
+    cache is read, so 10.0, equal to 10 as a key, is refused and not served
+    the d = 10 mass.
 
     With q = 1 - z^2, k = (d - 3) // 2 and e = 1 if d is even, else 0:
     P[0 <= x1 <= z] = e asin(z)/pi + t_0 + ... + t_k, P[x1 >= z] = t_{k+1} + ...,
@@ -177,13 +178,15 @@ def band_mass(d: int, lower: float, upper: float) -> float:
     (Abramowitz & Stegun 26.7.3-4). Every term is positive.
     """
     check_dimension(d)
+    check_real(lower, "lower")
+    check_real(upper, "upper")
     return _band_mass(d, lower, upper)
 
 
 @functools.lru_cache(maxsize=256)
 def _band_mass(d: int, lower: float, upper: float) -> float:
     if not (0.0 <= lower < upper <= 1.0):
-        raise ValueError(f"invalid interval [{lower}, {upper}]")
+        raise ValueError(f"band_mass needs 0 <= lower < upper <= 1, got [{lower}, {upper}]")
     k = (d - 3) // 2
     below = _series_sum(d, lower, 0, k) if lower > 0.0 else 0.0
     if 0.5 - below >= 2.0**-10:  # else a difference of masses near 1/2 would cancel

@@ -101,6 +101,8 @@ def mod_perceptron_params(
     """
     geometry.check_dimension(d)
     check_probability(delta, "delta")
+    geometry.check_real(zeta, "zeta")
+    geometry.check_real(theta, "theta")
     if not (0.0 < zeta <= 1.0):
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
     if not (0.0 < theta <= math.pi):
@@ -118,8 +120,8 @@ def mod_perceptron_params(
         if not math.isfinite(ratio):
             raise ValueError(f"delta = {delta:g} is too small: m^2 / delta overflows at m = {m}")
         b = scale_b * theta * zeta / (math.sqrt(d) * math.log(ratio))
-    except OverflowError:
-        raise ValueError("the iteration count m overflows: d, scale_m or 1 / delta is too large") from None
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the iteration count m overflows: d, scale_m, 1 / zeta or 1 / delta is too large") from None
     if b == 0.0:
         raise ValueError(f"the band width b_k rounds to 0 at theta = {theta:.3g}: epsilon or scale_b is too small")
     b = min(b, 1.0 / (10.0 * math.sqrt(d)))
@@ -372,6 +374,8 @@ def active_perceptron(
     target = oracle.target
     geometry.check_same_dimension(v, target)
     d = v.shape[0]
+    if not isinstance(schedule, Schedule):
+        raise ValueError(f"schedule must be a Schedule, got {schedule!r}")
     if schedule.d != d:
         raise geometry.DimensionMismatch(f"the schedule is for d = {schedule.d}, the run is in d = {d}")
     masses = schedule.band_masses()

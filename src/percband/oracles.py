@@ -73,8 +73,11 @@ def adversarial_threshold(d: int, nu: float) -> float:
 
     Bisection on :func:`geometry.band_mass`: 45 halvings of [0, 1] leave tau
     within 2^-46 (about 1.4e-14) of the root. Memoized, as the oracle of
-    every trial of a configuration asks for the same tau.
+    every trial of a configuration asks for the same tau. d and nu are
+    checked before the cache is read.
     """
+    geometry.check_dimension(d)
+    geometry.check_real(nu, "nu")
     return _adversarial_threshold(d, nu)
 
 
@@ -130,6 +133,8 @@ class LabelingOracle:
 
     def __init__(self, target, model: NoiseModel, rng: np.random.Generator):
         self.target = geometry.check_unit(target, "target")
+        if not isinstance(model, NoiseModel):
+            raise ValueError(f"model must be a NoiseModel, got {model!r}")
         self.model = model
         self.rng = rng
         self._queries = 0

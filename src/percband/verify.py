@@ -27,7 +27,7 @@ class CheckResult:
 
     ``statistic`` is the measured quantity, ``bound`` the value it is compared
     against, and ``margin`` the statistical allowance applied (0 for exact
-    checks). Skipped entries record preconditions that ruled a case out.
+    checks).
     """
 
     name: str
@@ -36,11 +36,9 @@ class CheckResult:
     bound: float
     margin: float
     detail: str = ""
-    skipped: bool = False
 
     def line(self) -> str:
-        status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
-        text = f"[{status}] {self.name}: stat={self.statistic:.6g} bound={self.bound:.6g} margin={self.margin:.6g}"
+        text = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: stat={self.statistic:.6g} bound={self.bound:.6g} margin={self.margin:.6g}"
         if self.detail:
             text += f" ({self.detail})"
         return text
@@ -130,44 +128,31 @@ def check_error_angle_relation(
     return results
 
 
-def check_band_mass_bound(
-    d_list: list[int],
-    b_list: list[float],
-) -> list[CheckResult]:
-    """Exact band mass of [b/2, b] vs the lower bound sqrt(d) b / (8 pi).
+def check_band_mass_bound(cells: dict[int, tuple[float, ...]]) -> list[CheckResult]:
+    """Exact band mass of [b/2, b] vs the lower bound sqrt(d) b / (8 pi), for
+    each width b of ``cells[d]``.
 
-    The bound is only claimed for b <= 1/(10 sqrt(d)); wider bands are
-    reported as skipped with a precondition note.
+    The bound is claimed only for b in (0, 1/(10 sqrt(d))], where the
+    schedule caps every b_k; a width outside it is refused before any mass
+    is computed.
     """
+    pairs = [(d, b) for d, widths in cells.items() for b in widths]
+    for d, b in pairs:
+        if not 0.0 < b <= 1.0 / (10.0 * math.sqrt(d)):
+            raise ValueError(f"band width b = {b} at d = {d} lies outside (0, 1/(10 sqrt(d))]")
     results = []
-    for d in d_list:
-        b_max = 1.0 / (10.0 * math.sqrt(d))
-        for b in b_list:
-            name = f"band_mass[d={d},b={b:.6g}]"
-            if b > b_max:
-                results.append(
-                    CheckResult(
-                        name=name,
-                        passed=True,
-                        statistic=math.nan,
-                        bound=math.nan,
-                        margin=0.0,
-                        detail=f"skipped: b > 1/(10 sqrt(d)) = {b_max:.6g}",
-                        skipped=True,
-                    )
-                )
-                continue
-            mass = geometry.band_mass(d, b / 2.0, b)
-            bound = math.sqrt(d) * b / (8.0 * math.pi)
-            results.append(
-                CheckResult(
-                    name=name,
-                    passed=mass >= bound,
-                    statistic=mass,
-                    bound=bound,
-                    margin=0.0,
-                )
+    for d, b in pairs:
+        mass = geometry.band_mass(d, b / 2.0, b)
+        bound = math.sqrt(d) * b / (8.0 * math.pi)
+        results.append(
+            CheckResult(
+                name=f"band_mass[d={d},b={b:.6g}]",
+                passed=mass >= bound,
+                statistic=mass,
+                bound=bound,
+                margin=0.0,
             )
+        )
     return results
 
 
@@ -348,7 +333,7 @@ def run_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
     helper.start()
     results = check_error_angle_relation(10, 20, n_samples, rng_pairs)
     results += check_band_mass_bound(
-        [3, 10, 50, 100], [0.005, 0.01, 0.0316, 0.05, 0.2]
+        {3: (0.005, 0.01, 0.0316, 0.05), 10: (0.005, 0.01, 0.0316), 50: (0.005, 0.01), 100: (0.005, 0.01)}
     )
     results += check_conditional_moments(
         20, [math.pi / 8.0, math.pi / 4.0], n_samples, rng_moments

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import percband
-from percband import bench, geometry, initialization, learner
+from percband import bench, cli, geometry, initialization, learner
 from percband.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -23,6 +23,7 @@ from percband.bench import (
 )
 from percband.cli import (
     COMMANDS,
+    MAX_SAMPLES,
     SETTINGS,
     SWEEP_AXES,
     build_config,
@@ -580,12 +581,11 @@ class TestCli:
         code = main(["verify", "--seed", "2", "--samples", "20000", "--out", str(out)])
         assert code == 0
         assert out.exists()
-        # The summary counts the out-of-regime band_mass cells apart.
+        # Every line but the summary is a check; none is skipped.
         lines = capsys.readouterr().out.splitlines()
-        skipped = sum(line.startswith("[SKIP]") for line in lines)
-        checks = sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
-        assert skipped > 0
-        assert lines[-1] == f"verify: {checks}/{checks} checks passed, {skipped} skipped"
+        assert not any(line.startswith("[SKIP]") for line in lines)
+        assert all(line.startswith(("[PASS]", "[FAIL]")) for line in lines[:-1])
+        assert lines[-1] == "verify: 43/43 checks passed"
 
     @pytest.mark.parametrize("argv", [
         ["--samples", "0"],
@@ -603,6 +603,19 @@ class TestCli:
         errors = [line for line in err.splitlines() if "error:" in line]
         # The one error line names the setting, not numpy's reason.
         assert len(errors) == 1 and argv[0].lstrip("-") in errors[0]
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
+    def test_verify_samples_past_the_limit_are_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, samples
+    ):
+        out = tmp_path / "verify.csv"
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("the suite ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--samples", str(samples), "--out", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"{MAX_SAMPLES:,}" in errors[0] and "--samples" in errors[0]
+        assert not out.exists()
 
     def test_readme_cli_lines_parse_and_build(self):
         block = readme_block("## CLI", "```sh")

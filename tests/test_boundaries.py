@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from percband import cli
 from percband.bench import MODES, ExperimentConfig
-from percband.geometry import check_dimension, check_unit
-from percband.learner import Schedule, make_schedule
-from percband.oracles import NoiseModel
+from percband.geometry import band_mass, check_dimension, check_unit
+from percband.learner import Schedule, active_perceptron, make_schedule, mod_perceptron_params
+from percband.oracles import LabelingOracle, NoiseModel, adversarial_threshold
 from percband.verify import run_suite
 
 HOSTILE = st.one_of(
@@ -51,7 +51,19 @@ CASES = [
     (check_unit, dict(v=(1.0, 0.0, 0.0), name="v0"), dict(v="v0")),
     (check_dimension, dict(d=10), dict(d="d")),
     (run_suite, dict(seed=0, n_samples=5), dict(seed="seed", n_samples="n_samples")),
+    (band_mass, dict(d=10, lower=0.1, upper=0.2), dict(d="d", lower="lower", upper="upper")),
+    (adversarial_threshold, dict(d=10, nu=0.05), dict(d="d", nu="nu")),
+    (mod_perceptron_params, dict(d=10, theta=1.0, delta=0.1, zeta=0.8, scale_m=4.0, scale_b=0.5),
+     {name: name for name in ("d", "theta", "delta", "zeta", "scale_m", "scale_b")}),
+    (LabelingOracle, dict(target=(1.0, 0.0, 0.0), model=NoiseModel.bounded(0.2), rng=np.random.default_rng(0)),
+     dict(target="target", model="model")),
+    (active_perceptron,
+     dict(oracle=LabelingOracle((1.0, 0.0, 0.0), NoiseModel.bounded(0.2), np.random.default_rng(0)),
+          v0=(0.6, 0.8, 0.0), schedule=Schedule(3, 0.5, (5,), (0.1,)), rng=np.random.default_rng(1)),
+     dict(v0="v0", schedule="schedule")),
 ]
+# A valid value of these arguments costs time in proportion to it: keep it small.
+LIMITS = {(run_suite, "n_samples"): 10, (band_mass, "d"): 1000, (adversarial_threshold, "d"): 1000}
 
 
 @given(case=st.sampled_from(CASES), data=st.data())
@@ -60,9 +72,9 @@ def test_library_returns_or_refuses_by_name(case, data):
     fn, base, names = case
     arg = data.draw(st.sampled_from(sorted(names)))
     value = data.draw(HOSTILE)
-    if fn is run_suite and arg == "n_samples":
-        # A valid sample count runs the suite: keep it small.
-        assume(not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 10))
+    if (fn, arg) in LIMITS:
+        assume(not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value > LIMITS[fn, arg]))
     valid = base.get(arg)
     given_value = value
     if isinstance(valid, tuple):

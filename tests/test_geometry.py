@@ -322,6 +322,15 @@ class TestBandMass:
         with pytest.raises(ValueError):
             band_mass(5, 0.2, 1.1)
 
+    @pytest.mark.parametrize("lower,upper,name", [
+        (0.1, "0.2", "upper"), ([0.1], 0.2, "lower"), (True, 0.2, "lower"), (0.1, None, "upper"),
+    ])
+    def test_bounds_that_are_not_real_numbers_are_refused(self, lower, upper, name):
+        # Before the cache: a list raised "unhashable type" from it, and a
+        # string a bare TypeError from the interval test.
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            band_mass(10, lower, upper)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_monotone_in_interval(self, seed):

@@ -229,6 +229,20 @@ class TestSchedule:
         with pytest.raises(DimensionMismatch, match="dimension d must be an integer"):
             mod_perceptron_params(d, 1.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("zeta", [5e-324, 1e-310, 1e-160])
+    def test_tiny_noise_factor_is_refused(self, zeta):
+        # zeta^2 rounded to 0 raised a bare ZeroDivisionError.
+        with pytest.raises(ValueError, match="m overflows: .*1 / zeta"):
+            mod_perceptron_params(10, 1.0, 0.1, zeta)
+
+    @pytest.mark.parametrize("theta,zeta,name", [
+        ("1", 1.0, "theta"), (None, 1.0, "theta"), (1.0, True, "zeta"), (1.0, "1", "zeta"),
+    ])
+    def test_angle_and_noise_factor_must_be_real_numbers(self, theta, zeta, name):
+        # A string raised a bare TypeError, and zeta = True ran as 1.
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            mod_perceptron_params(10, theta, 0.1, zeta)
+
     @pytest.mark.parametrize("d", [0, -3, 2])
     def test_dimension_below_three_is_refused(self, d):
         # It used to fail on log(base) with "math domain error", or at d = 2
@@ -287,6 +301,16 @@ class TestModPerceptron:
             active_perceptron(oracle, w0, schedule, sampler)
         assert oracle.queries == 0
         assert (oracle.rng.bit_generator.state, sampler.bit_generator.state) == states
+
+    def test_schedule_that_is_not_a_schedule_is_refused_before_any_draw(self, rng):
+        # It raised an AttributeError from schedule.d.
+        oracle = LabelingOracle(sample_uniform_sphere(5, rng), NoiseModel.realizable(), np.random.default_rng(1))
+        sampler = np.random.default_rng(2)
+        state = sampler.bit_generator.state
+        with pytest.raises(ValueError, match="^schedule must be a Schedule"):
+            active_perceptron(oracle, sample_uniform_sphere(5, rng), "sched", sampler)
+        assert oracle.queries == 0
+        assert sampler.bit_generator.state == state
 
     def test_median_halving_realizable(self):
         angles = [run_stage(NoiseModel.realizable(), s) for s in range(50)]

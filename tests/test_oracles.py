@@ -143,6 +143,18 @@ class TestAdversarial:
         taus = [adversarial_threshold(d, nu) for nu in np.linspace(0.001, 0.999, 40)]
         assert np.all(np.diff(taus) > 0.0)
 
+    @pytest.mark.parametrize("nu", [True, "0.1", None, 10**400])
+    def test_threshold_refuses_a_level_that_is_not_a_real_number(self, nu):
+        # True was returned as the threshold, "0.1" raised a bare TypeError.
+        with pytest.raises(ValueError, match="^nu "):
+            adversarial_threshold(10, nu)
+
+    def test_threshold_checks_the_dimension_before_its_cache(self):
+        # 10.0 equals 10 as a cache key; it must not be served the d = 10 tau.
+        adversarial_threshold(10, 0.05)
+        with pytest.raises(DimensionMismatch, match="dimension d must be an integer"):
+            adversarial_threshold(10.0, 0.05)
+
     def test_total_disagreement_equals_nu(self, rng):
         d, nu = 10, 0.05
         oracle = make_oracle(NoiseModel.adversarial(nu), d=d, seed=1)
@@ -196,6 +208,11 @@ class TestValidation:
     def test_bool_target_refused(self):
         with pytest.raises(ValueError, match="^target must be an array of real numbers"):
             LabelingOracle([True, False, False], NoiseModel.realizable(), np.random.default_rng(0))
+
+    def test_model_that_is_not_a_noise_model_is_refused(self):
+        # It raised an AttributeError from the flip radius.
+        with pytest.raises(ValueError, match="^model must be a NoiseModel"):
+            LabelingOracle(E1, "bounded", np.random.default_rng(0))
 
     def test_negative_zero_level_is_zero(self):
         # -0 is the model of level 0 and is kept as +0.0, so rows print 0.
